@@ -2,6 +2,7 @@ package reveal
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"testing"
 
@@ -42,7 +43,7 @@ func BenchmarkStream(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sa, err := core.NewStreamAttack(s.Classifier, core.StreamAttackOptions{
+		sa, err := core.NewStreamAttackCtx(context.Background(), s.Classifier, core.StreamAttackOptions{
 			Coefficients: s.Params.N,
 		})
 		if err != nil {

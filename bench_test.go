@@ -19,6 +19,7 @@ import (
 	"reveal/internal/core"
 	"reveal/internal/dbdd"
 	"reveal/internal/experiments"
+	"reveal/internal/obs"
 	"reveal/internal/sampler"
 	"reveal/internal/sca"
 	"reveal/internal/trace"
@@ -377,7 +378,11 @@ func BenchmarkAblationPatchedSampler(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := s.Classifier.AttackTrace(tr, n+1)
+		segs, err := trace.NewSegmenter(n+1).Segment(tr, n+1, 8)
+		var res *core.AttackResult
+		if err == nil {
+			res, err = s.Classifier.AttackSegmentsCtx(context.Background(), segs[:n])
+		}
 		if err != nil {
 			// Segmentation failure against the patched kernel counts as a
 			// defense win; score as zero accuracy.
@@ -604,6 +609,19 @@ func BenchmarkAblationSecondOrder(b *testing.B) {
 	b.ReportMetric(study.SecondOrderMaxT, "second-order-max-t")
 }
 
+// segmentStage cuts one sampling trace of n coefficients plus the
+// sentinel with sg inside a "segment" span, as the attack does.
+func segmentStage(sg *trace.Segmenter, tr trace.Trace, n int) ([]trace.Segment, error) {
+	sp := obs.StartSpan("segment")
+	defer sp.End()
+	segs, err := sg.Segment(tr, n+1, 8)
+	if err != nil {
+		return nil, err
+	}
+	sp.AddItems(len(segs))
+	return segs, nil
+}
+
 // attackSegments collects the per-coefficient segments of both error
 // polynomials of one captured encryption — the classify-stage workload.
 func attackSegments(b *testing.B, s *experiments.Session) []trace.Segment {
@@ -615,7 +633,7 @@ func attackSegments(b *testing.B, s *experiments.Session) []trace.Segment {
 	}
 	var segs []trace.Segment
 	for _, tr := range []trace.Trace{cap.TraceE1, cap.TraceE2} {
-		ss, err := trace.SegmentEncryptionTrace(tr, s.Params.N+1, 8)
+		ss, err := segmentStage(trace.NewSegmenter(s.Params.N+1), tr, s.Params.N)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -661,10 +679,11 @@ func BenchmarkSegmentStage(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	sg := trace.NewSegmenter(s.Params.N + 1)
 	var segs []trace.Segment
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		segs, err = trace.SegmentEncryptionTrace(cap.TraceE2, s.Params.N+1, 8)
+		segs, err = segmentStage(sg, cap.TraceE2, s.Params.N)
 		if err != nil {
 			b.Fatal(err)
 		}

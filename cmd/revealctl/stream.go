@@ -1,18 +1,18 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"reveal/internal/core"
 	"reveal/internal/experiments"
-	"reveal/internal/trace"
 )
 
 // runAttackStream is the -stream variant of 'revealctl attack': each e2
 // trace is fed to the streaming engine in fixed-size chunks, every
 // coefficient is classified the moment its segment closes, and — unless
 // the attack early-exited on -target-bikz — the streamed result's digest
-// is cross-checked against the batch Segment+AttackSegments path over the
+// is cross-checked against the batch Segmenter+AttackSegmentsCtx path over the
 // same trace (the determinism contract, verified on real output).
 func runAttackStream(camp *campaign, s *experiments.Session, messages int, targetBikz float64, chunk int) error {
 	if chunk < 1 {
@@ -29,7 +29,7 @@ func runAttackStream(camp *campaign, s *experiments.Session, messages int, targe
 		if err != nil {
 			return err
 		}
-		sa, err := core.NewStreamAttack(s.Classifier, core.StreamAttackOptions{
+		sa, err := core.NewStreamAttackCtx(context.Background(), s.Classifier, core.StreamAttackOptions{
 			Coefficients: s.Params.N,
 			TargetBikz:   targetBikz,
 			Params:       s.Params,
@@ -70,7 +70,7 @@ func runAttackStream(camp *campaign, s *experiments.Session, messages int, targe
 				msg, verdict.SamplesIngested, verdict.HintedBikz, targetBikz, verdict.BaselineBikz)
 			continue
 		}
-		match, err := streamDigestMatchesBatch(s, tr, res, verdict.Classified)
+		match, err := s.Classifier.StreamMatchesBatch(context.Background(), tr, s.Params.N, res)
 		if err != nil {
 			return err
 		}
@@ -91,27 +91,4 @@ func runAttackStream(camp *campaign, s *experiments.Session, messages int, targe
 		return fmt.Errorf("%d of %d streamed messages diverged from the batch attack", mismatches, messages)
 	}
 	return nil
-}
-
-// streamDigestMatchesBatch reruns the batch path over the complete trace
-// and compares canonical digests against the streamed prefix.
-func streamDigestMatchesBatch(s *experiments.Session, tr trace.Trace, streamRes *core.AttackResult, classified int) (bool, error) {
-	sg := trace.NewSegmenter(s.Params.N + 1)
-	segs, err := sg.Segment(tr, s.Params.N+1, 8)
-	if err != nil {
-		return false, err
-	}
-	batchRes, err := s.Classifier.AttackSegments(segs[:s.Params.N])
-	if err != nil {
-		return false, err
-	}
-	sd, err := streamRes.Digest()
-	if err != nil {
-		return false, err
-	}
-	bd, err := batchRes.Prefix(classified).Digest()
-	if err != nil {
-		return false, err
-	}
-	return sd == bd, nil
 }

@@ -4,13 +4,25 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"reveal/internal/core"
 	"reveal/internal/sampler"
 	"reveal/internal/sca"
+	"reveal/internal/trace"
 )
+
+// attack segments a capture of n coefficients plus the sentinel and
+// classifies the n real ones.
+func attack(cls *core.CoefficientClassifier, tr trace.Trace, n int) (*core.AttackResult, error) {
+	segs, err := trace.NewSegmenter(n+1).Segment(tr, n+1, 8)
+	if err != nil {
+		return nil, err
+	}
+	return cls.AttackSegmentsCtx(context.Background(), segs[:n])
+}
 
 func main() {
 	const (
@@ -43,7 +55,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := cls.AttackTrace(tr, n+1)
+	res, err := attack(cls, tr, n)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -86,7 +98,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	resBF, err := cls.AttackTrace(trBF, n+1)
+	resBF, err := attack(cls, trBF, n)
 	if err != nil {
 		fmt.Printf("branch-free kernel:  attack pipeline fails outright (%v)\n", err)
 		return

@@ -91,17 +91,12 @@ type AttackOptions struct {
 // captured encryption (each trace contains n real coefficients plus the
 // sentinel iteration, which is discarded).
 func (c *CoefficientClassifier) Attack(cap *EncryptionCapture, n int) (*AttackOutcome, error) {
-	return c.AttackCtx(context.Background(), cap, n)
-}
-
-// AttackCtx is Attack with cancellation: the classification aborts at the
-// next stage boundary once ctx is done.
-func (c *CoefficientClassifier) AttackCtx(ctx context.Context, cap *EncryptionCapture, n int) (*AttackOutcome, error) {
-	return c.AttackWithOptions(ctx, cap, n, AttackOptions{})
+	return c.AttackWithOptions(context.Background(), cap, n, AttackOptions{})
 }
 
 // AttackWithOptions runs the single-trace attack with explicit concurrency
-// options. It is the full entry point behind Attack/AttackCtx.
+// options and cancellation: the attack aborts at the next stage boundary
+// once ctx is done. It is the full entry point behind Attack.
 func (c *CoefficientClassifier) AttackWithOptions(ctx context.Context, cap *EncryptionCapture, n int, opts AttackOptions) (*AttackOutcome, error) {
 	sp := obs.StartSpanCtx(ctx, "attack")
 	sp.AddItems(2 * n)
@@ -115,16 +110,11 @@ func (c *CoefficientClassifier) AttackWithOptions(ctx context.Context, cap *Encr
 		}
 		// Zero-copy segmentation: the segment views only need to live for
 		// the classification below, and tr outlives it.
-		ssp := obs.StartSpanCtx(ctx, "segment")
-		sg := trace.NewSegmenter(n + 1)
-		segs, err := sg.Segment(tr, n+1, 8)
+		segs, err := segmentTrace(ctx, trace.NewSegmenter(n+1), tr, n+1)
 		if err != nil {
-			ssp.End()
 			return nil, err
 		}
-		ssp.AddItems(len(segs))
-		ssp.End()
-		return c.attackSegments(ctx, segs[:n], opts.Workers)
+		return c.AttackSegmentsParallel(ctx, segs[:n], opts.Workers)
 	}
 	if opts.Workers > 1 {
 		// The two error polynomials are independent: segment and classify

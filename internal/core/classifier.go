@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"reveal/internal/obs"
 	"reveal/internal/sca"
 	"reveal/internal/trace"
 )
@@ -67,16 +66,6 @@ func tailAlign(seg trace.Trace, length int) trace.Trace {
 	return seg.Resample(length)
 }
 
-// ClassifySegment classifies one per-coefficient sub-trace: branch first
-// (V1), then the value template of the recovered side (V2/V3), with the
-// combined posterior P(v) = P(sign)·P(v | sign). The arithmetic runs on a
-// pooled segScorer, scoring each template set exactly once.
-func (c *CoefficientClassifier) ClassifySegment(seg trace.Trace) (*Classification, error) {
-	ss := c.scorer()
-	defer c.release(ss)
-	return ss.classify(seg)
-}
-
 // AttackResult aggregates the single-trace attack over one error
 // polynomial.
 type AttackResult struct {
@@ -85,50 +74,13 @@ type AttackResult struct {
 	Probs  []map[int]float64
 }
 
-// AttackSegments classifies every per-coefficient segment of an already
-// segmented encryption trace.
-func (c *CoefficientClassifier) AttackSegments(segs []trace.Segment) (*AttackResult, error) {
-	return c.AttackSegmentsCtx(context.Background(), segs)
-}
-
-// AttackSegmentsCtx is AttackSegments with cancellation: the loop checks
-// ctx between coefficients and aborts early once it is done.
+// AttackSegmentsCtx classifies every per-coefficient segment of an
+// already segmented encryption trace on the calling goroutine: branch
+// first (V1), then the value template of the recovered side (V2/V3), with
+// the combined posterior P(v) = P(sign)·P(v | sign). It checks ctx between
+// coefficients and aborts early once it is done.
 func (c *CoefficientClassifier) AttackSegmentsCtx(ctx context.Context, segs []trace.Segment) (*AttackResult, error) {
-	sp := obs.StartSpanCtx(ctx, "classify")
-	sp.AddItems(len(segs))
-	defer sp.End()
-	res := &AttackResult{
-		Values: make([]int, len(segs)),
-		Signs:  make([]int, len(segs)),
-		Probs:  make([]map[int]float64, len(segs)),
-	}
-	ss := c.scorer()
-	defer c.release(ss)
-	for i, s := range segs {
-		if i%classifyCancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("core: classification canceled at coefficient %d: %w", i, err)
-			}
-		}
-		cl, err := ss.classify(s.Samples)
-		if err != nil {
-			return nil, fmt.Errorf("core: coefficient %d: %w", i, err)
-		}
-		res.Values[i] = cl.Value
-		res.Signs[i] = cl.Sign
-		res.Probs[i] = cl.Probs
-	}
-	return res, nil
-}
-
-// AttackTrace segments a full sampling trace into n coefficients and
-// classifies each — the complete single-trace attack of §III.
-func (c *CoefficientClassifier) AttackTrace(tr trace.Trace, n int) (*AttackResult, error) {
-	segs, err := trace.SegmentEncryptionTrace(tr, n, 8)
-	if err != nil {
-		return nil, err
-	}
-	return c.AttackSegments(segs)
+	return c.AttackSegmentsParallel(ctx, segs, 1)
 }
 
 // Accuracy compares recovered values with ground truth.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -558,7 +559,11 @@ func TestBranchlessKernelDefeatsBranchClassifier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cls.AttackTrace(tr, n+1)
+	segs, err := trace.NewSegmenter(n+1).Segment(tr, n+1, 8)
+	var res *AttackResult
+	if err == nil {
+		res, err = cls.AttackSegmentsCtx(context.Background(), segs[:n])
+	}
 	if err != nil {
 		// Segmentation can legitimately fail on the patched kernel; that
 		// is also a defense success.
@@ -652,11 +657,11 @@ func TestClassifierSerializationRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i < len(segs)-1; i++ {
-		a, err := cls.ClassifySegment(segs[i].Samples)
+		a, err := classifyOne(cls, segs[i].Samples)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := got.ClassifySegment(segs[i].Samples)
+		b, err := classifyOne(got, segs[i].Samples)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"reveal/internal/sampler"
@@ -56,7 +57,11 @@ type ShuffleEvaluation struct {
 // EvaluateShuffledAttack runs the classifier on a shuffled capture and
 // scores it against the unshuffled truth.
 func EvaluateShuffledAttack(c *CoefficientClassifier, tr trace.Trace, truth []int64, perm []int) (*ShuffleEvaluation, error) {
-	res, err := c.AttackTrace(tr, len(truth))
+	segs, err := segmentTrace(context.Background(), trace.NewSegmenter(len(truth)), tr, len(truth))
+	if err != nil {
+		return nil, err
+	}
+	res, err := c.AttackSegmentsCtx(context.Background(), segs)
 	if err != nil {
 		return nil, err
 	}

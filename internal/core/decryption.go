@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"reveal/internal/sampler"
@@ -166,6 +167,7 @@ func RunDecryptionAttack(dev *Device, skSigned []int64, q uint64, nTraces int, s
 	subTraces := make([][]trace.Trace, n)
 	c1PerTrace := make([][]uint32, nTraces)
 	length := 0
+	sg := trace.NewSegmenter(n)
 	for k := 0; k < nTraces; k++ {
 		c1 := make([]uint32, n)
 		for i := range c1 {
@@ -176,7 +178,7 @@ func RunDecryptionAttack(dev *Device, skSigned []int64, q uint64, nTraces int, s
 		if err != nil {
 			return nil, err
 		}
-		segs, err := trace.SegmentEncryptionTrace(tr, n, 8)
+		segs, err := segmentTrace(context.Background(), sg, tr, n)
 		if err != nil {
 			return nil, fmt.Errorf("core: decryption trace %d: %w", k, err)
 		}

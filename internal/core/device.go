@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"reveal/internal/obs"
@@ -179,17 +180,31 @@ func (d *Device) StoredPoly(firmware []byte, values []int64, metas []sampler.Sam
 
 // SegmentCapture captures a trace and cuts it into the per-coefficient
 // sub-traces using the port-spike peaks, returning exactly len(values)
-// segments.
+// segments. The segments are views into the returned trace.
 func (d *Device) SegmentCapture(firmware []byte, values []int64, metas []sampler.SampleMeta) (trace.Trace, []trace.Segment, error) {
 	tr, err := d.Capture(firmware, values, metas)
 	if err != nil {
 		return nil, nil, err
 	}
-	segs, err := trace.SegmentEncryptionTrace(tr, len(values), 8)
+	segs, err := segmentTrace(context.Background(), trace.NewSegmenter(len(values)), tr, len(values))
 	if err != nil {
 		return nil, nil, err
 	}
 	return tr, segs, nil
+}
+
+// segmentTrace cuts tr into want per-coefficient segments (§III-C, minimum
+// peak spacing 8) inside a "segment" span. The segments are views into tr,
+// held in sg's reused slice until its next call.
+func segmentTrace(ctx context.Context, sg *trace.Segmenter, tr trace.Trace, want int) ([]trace.Segment, error) {
+	sp := obs.StartSpanCtx(ctx, "segment")
+	defer sp.End()
+	segs, err := sg.Segment(tr, want, 8)
+	if err != nil {
+		return nil, err
+	}
+	sp.AddItems(len(segs))
+	return segs, nil
 }
 
 // mmioRegionSpec describes one device region for captureRegions.

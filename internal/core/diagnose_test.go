@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -20,7 +21,7 @@ func smallDiagnosticsOptions() DiagnosticsOptions {
 
 func TestDiagnoseReportsLeakage(t *testing.T) {
 	dev := NewLowNoiseDevice(71)
-	report, err := Diagnose(dev, smallDiagnosticsOptions())
+	report, err := DiagnoseCtx(context.Background(), dev, smallDiagnosticsOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestDiagnoseReportsLeakage(t *testing.T) {
 }
 
 func TestProfileSplitMatchesMonolith(t *testing.T) {
-	// CollectProfilingSets + TrainClassifier must reproduce Profile exactly
+	// CollectProfilingSetsCtx + TrainClassifierCtx must reproduce Profile exactly
 	// (same device seed → same plan, same traces, same templates).
 	opts := DefaultProfileOptions()
 	opts.Q = 12289
@@ -87,11 +88,11 @@ func TestProfileSplitMatchesMonolith(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sets, err := CollectProfilingSets(NewDevice(72), opts, nil)
+	sets, err := CollectProfilingSetsCtx(context.Background(), NewDevice(72), opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	split, err := TrainClassifier(sets, opts, nil)
+	split, err := TrainClassifierCtx(context.Background(), sets, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestEmitCoeffEvents(t *testing.T) {
 			{-2: 0.6, -1: 0.4},
 		},
 	}
-	EmitCoeffEvents("e1", res, []int64{1, -1})
+	EmitCoeffEventsCtx(context.Background(), "e1", res, []int64{1, -1})
 	events, dropped := rec.CoeffEvents()
 	if len(events) != 2 || dropped != 0 {
 		t.Fatalf("events=%d dropped=%d", len(events), dropped)
@@ -141,10 +142,10 @@ func TestEmitCoeffEvents(t *testing.T) {
 
 	// Truth shorter than the result must not panic, and the disabled path
 	// must be a no-op.
-	EmitCoeffEvents("e2", res, []int64{1})
+	EmitCoeffEventsCtx(context.Background(), "e2", res, []int64{1})
 	if events, _ := rec.CoeffEvents(); len(events) != 3 {
 		t.Fatalf("short-truth emission got %d events", len(events))
 	}
 	obs.SetGlobal(nil)
-	EmitCoeffEvents("e2", res, []int64{1, 2})
+	EmitCoeffEventsCtx(context.Background(), "e2", res, []int64{1, 2})
 }

@@ -6,21 +6,15 @@ import (
 	"reveal/internal/obs"
 )
 
-// EmitCoeffEvents journals one per-coefficient CoeffEvent for every position
-// of an attack result, scored against the ground-truth coefficients the
-// evaluation harness holds. The attack itself never sees the truth — this is
-// post-hoc scoring for the coeffs.jsonl journal and the aggregate
-// classification-quality metrics. No-op (and zero cost) when observability
-// is disabled.
-func EmitCoeffEvents(poly string, res *AttackResult, truth []int64) {
-	EmitCoeffEventsCtx(context.Background(), poly, res, truth)
-}
-
-// EmitCoeffEventsCtx is EmitCoeffEvents carrying the caller's trace
-// identity: each journaled CoeffEvent is stamped with the request trace ID
-// from ctx. Outside the service path the ID is empty and (being omitempty)
-// leaves the coeffs.jsonl byte stream — and thus the selftest digest —
-// unchanged.
+// EmitCoeffEventsCtx journals one per-coefficient CoeffEvent for every
+// position of an attack result, scored against the ground-truth
+// coefficients the evaluation harness holds. The attack itself never sees
+// the truth — this is post-hoc scoring for the coeffs.jsonl journal and the
+// aggregate classification-quality metrics. No-op (and zero cost) when
+// observability is disabled. Each event is stamped with the request trace
+// ID from ctx; outside the service path the ID is empty and (being
+// omitempty) leaves the coeffs.jsonl byte stream — and thus the selftest
+// digest — unchanged.
 func EmitCoeffEventsCtx(ctx context.Context, poly string, res *AttackResult, truth []int64) {
 	rec := obs.Global()
 	if rec == nil {
@@ -49,14 +43,9 @@ func EmitCoeffEventsCtx(ctx context.Context, poly string, res *AttackResult, tru
 	}
 }
 
-// EmitOutcomeEvents journals both polynomials of an attack outcome against
-// the capture's transcript.
-func EmitOutcomeEvents(out *AttackOutcome, cap *EncryptionCapture) {
-	EmitOutcomeEventsCtx(context.Background(), out, cap)
-}
-
-// EmitOutcomeEventsCtx is EmitOutcomeEvents with trace-identity
-// propagation from ctx.
+// EmitOutcomeEventsCtx journals both polynomials of an attack outcome
+// against the capture's transcript, with trace-identity propagation from
+// ctx.
 func EmitOutcomeEventsCtx(ctx context.Context, out *AttackOutcome, cap *EncryptionCapture) {
 	if cap.Truth == nil {
 		return

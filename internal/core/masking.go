@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"reveal/internal/sampler"
@@ -151,6 +152,7 @@ func EvaluateMasking(dev *Device, q uint64, tracesPerValue int, attackCoeffs int
 		return int(sampler.Uint64Below(metaPRNG, uint64(2*maxAbs+1))) - maxAbs
 	}
 	run := uint64(0)
+	sg := trace.NewSegmenter(coeffsPerRun)
 	for remaining > 0 {
 		run++
 		values := make([]int64, coeffsPerRun)
@@ -162,7 +164,7 @@ func EvaluateMasking(dev *Device, q uint64, tracesPerValue int, attackCoeffs int
 		if err != nil {
 			return nil, err
 		}
-		segs, err := trace.SegmentEncryptionTrace(tr, coeffsPerRun, 8)
+		segs, err := segmentTrace(context.Background(), sg, tr, coeffsPerRun)
 		if err != nil {
 			return nil, err
 		}
@@ -223,11 +225,11 @@ func EvaluateMasking(dev *Device, q uint64, tracesPerValue int, attackCoeffs int
 	if err != nil {
 		return nil, err
 	}
-	segs, err := trace.SegmentEncryptionTrace(tr, attackCoeffs+1, 8)
+	segs, err := segmentTrace(context.Background(), trace.NewSegmenter(attackCoeffs+1), tr, attackCoeffs+1)
 	if err != nil {
 		return nil, err
 	}
-	res, err := cls.AttackSegments(segs[:attackCoeffs])
+	res, err := cls.AttackSegmentsCtx(context.Background(), segs[:attackCoeffs])
 	if err != nil {
 		return nil, err
 	}
@@ -261,6 +263,7 @@ func RunSecondOrderStudy(dev *Device, q uint64, fixedValue int64, perClass int, 
 	const coeffsPerRun = 18
 	prng := sampler.NewXoshiro256(seed)
 
+	sg := trace.NewSegmenter(coeffsPerRun)
 	collect := func(class int, count int) ([]trace.Trace, error) {
 		var out []trace.Trace
 		run := uint64(0)
@@ -279,7 +282,7 @@ func RunSecondOrderStudy(dev *Device, q uint64, fixedValue int64, perClass int, 
 			if err != nil {
 				return nil, err
 			}
-			segs, err := trace.SegmentEncryptionTrace(tr, coeffsPerRun, 8)
+			segs, err := segmentTrace(context.Background(), sg, tr, coeffsPerRun)
 			if err != nil {
 				return nil, err
 			}

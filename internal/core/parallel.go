@@ -14,94 +14,86 @@ import (
 // without paying a ctx.Err() per coefficient.
 const classifyCancelStride = 16
 
-// attackSegments dispatches between the serial and the sharded-parallel
-// classification paths. Both produce identical results.
-func (c *CoefficientClassifier) attackSegments(ctx context.Context, segs []trace.Segment, workers int) (*AttackResult, error) {
-	if workers <= 1 || len(segs) < 2 {
-		return c.AttackSegmentsCtx(ctx, segs)
-	}
-	return c.AttackSegmentsParallel(ctx, segs, workers)
-}
-
 // AttackSegmentsParallel classifies the per-coefficient segments on a
 // sharded worker pool: the segment index space is split into `workers`
 // contiguous shards, and each shard is classified by its own goroutine
-// writing results by index. Because every coefficient's classification is
-// an independent pure function of its segment, the output is byte-identical
-// to AttackSegments — parallelism is purely a throughput optimization.
-// The pool aborts early (and cancels its siblings) on the first error or
-// when ctx is done.
+// writing results by index. workers <= 1 runs the single shard inline on
+// the calling goroutine. Because every coefficient's classification is an
+// independent pure function of its segment, the output is byte-identical
+// for every worker count — parallelism is purely a throughput
+// optimization. The pool aborts early (and cancels its siblings) on the
+// first error or when ctx is done.
 func (c *CoefficientClassifier) AttackSegmentsParallel(ctx context.Context, segs []trace.Segment, workers int) (*AttackResult, error) {
-	if workers <= 1 || len(segs) < 2 {
-		return c.AttackSegmentsCtx(ctx, segs)
-	}
-	if workers > len(segs) {
-		workers = len(segs)
-	}
 	sp := obs.StartSpanCtx(ctx, "classify")
 	sp.AddItems(len(segs))
 	defer sp.End()
-
 	res := &AttackResult{
 		Values: make([]int, len(segs)),
 		Signs:  make([]int, len(segs)),
 		Probs:  make([]map[int]float64, len(segs)),
 	}
+	if workers > len(segs) {
+		workers = len(segs)
+	}
+	if workers <= 1 {
+		if err := c.classifyShard(ctx, segs, res, 0, len(segs)); err != nil {
+			return nil, err
+		}
+		return res, nil
+	}
+
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
 	var (
 		wg       sync.WaitGroup
 		errOnce  sync.Once
 		firstErr error
 	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
 	// Contiguous shards: worker w owns [w*quota, min((w+1)*quota, n)), the
 	// last one absorbing the remainder. Contiguity keeps each worker's
 	// memory walk sequential over the segment slice.
 	quota := (len(segs) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * quota
-		hi := lo + quota
-		if hi > len(segs) {
-			hi = len(segs)
-		}
-		if lo >= hi {
-			break
-		}
+	for lo := 0; lo < len(segs); lo += quota {
+		hi := min(lo+quota, len(segs))
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			// One pooled scoring context per shard: scratch buffers are
-			// goroutine-local, results stay bitwise identical to serial.
-			ss := c.scorer()
-			defer c.release(ss)
-			for i := lo; i < hi; i++ {
-				if (i-lo)%classifyCancelStride == 0 {
-					if err := ctx.Err(); err != nil {
-						fail(fmt.Errorf("core: classification canceled at coefficient %d: %w", i, err))
-						return
-					}
-				}
-				cl, err := ss.classify(segs[i].Samples)
-				if err != nil {
-					fail(fmt.Errorf("core: coefficient %d: %w", i, err))
-					return
-				}
-				res.Values[i] = cl.Value
-				res.Signs[i] = cl.Sign
-				res.Probs[i] = cl.Probs
+			if err := c.classifyShard(ctx, segs, res, lo, hi); err != nil {
+				errOnce.Do(func() {
+					firstErr = err
+					cancel()
+				})
 			}
-		}(lo, hi)
+		}()
 	}
 	wg.Wait()
 	if firstErr != nil {
 		return nil, firstErr
 	}
 	return res, nil
+}
+
+// classifyShard is the one per-coefficient classify loop of the batch
+// attack: it classifies segs[lo:hi] into res by index on one pooled
+// scoring context (scratch buffers are goroutine-local, so results are
+// bitwise identical however the index space is sharded), checking ctx
+// every classifyCancelStride coefficients.
+func (c *CoefficientClassifier) classifyShard(ctx context.Context, segs []trace.Segment, res *AttackResult, lo, hi int) error {
+	ss := c.scorer()
+	defer c.release(ss)
+	for i := lo; i < hi; i++ {
+		if (i-lo)%classifyCancelStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("core: classification canceled at coefficient %d: %w", i, err)
+			}
+		}
+		cl, err := ss.classify(segs[i].Samples)
+		if err != nil {
+			return fmt.Errorf("core: coefficient %d: %w", i, err)
+		}
+		res.Values[i] = cl.Value
+		res.Signs[i] = cl.Sign
+		res.Probs[i] = cl.Probs
+	}
+	return nil
 }

@@ -36,7 +36,7 @@ func captureSmall(t *testing.T, seed uint64) (*CoefficientClassifier, *Encryptio
 // serial loop for any worker count.
 func TestParallelClassificationMatchesSerial(t *testing.T) {
 	cls, cap, params := captureSmall(t, 11)
-	segs, err := trace.SegmentEncryptionTrace(cap.TraceE2, params.N+1, 8)
+	segs, err := trace.NewSegmenter(params.N+1).Segment(cap.TraceE2, params.N+1, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestAttackWithOptionsMatchesAttack(t *testing.T) {
 // an already-canceled context.
 func TestClassificationCancellation(t *testing.T) {
 	cls, cap, params := captureSmall(t, 13)
-	segs, err := trace.SegmentEncryptionTrace(cap.TraceE2, params.N+1, 8)
+	segs, err := trace.NewSegmenter(params.N+1).Segment(cap.TraceE2, params.N+1, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestTrainClassifierCtxMatchesSerialTraining(t *testing.T) {
 	opts := DefaultProfileOptions()
 	opts.Q = 12289
 	opts.TracesPerValue = 20
-	sets, err := CollectProfilingSets(dev, opts, nil)
+	sets, err := CollectProfilingSetsCtx(context.Background(), dev, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

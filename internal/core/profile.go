@@ -61,7 +61,7 @@ func HighAccuracyProfileOptions() ProfileOptions {
 // ProfilingSets holds the labeled, tail-aligned trace sets a profiling
 // campaign produces: the sign (branch) set over {−1, 0, +1} and the
 // positive/negative value sets. Training consumes them; the leakage
-// diagnostics (Diagnose) assess them.
+// diagnostics (DiagnoseCtx) assess them.
 type ProfilingSets struct {
 	// Length is the common tail-aligned sub-trace length.
 	Length int
@@ -90,15 +90,10 @@ func ProfileCtx(ctx context.Context, dev *Device, opts ProfileOptions) (*Coeffic
 	return TrainClassifierCtx(ctx, sets, opts, sp)
 }
 
-// CollectProfilingSets runs the capture half of the profiling campaign and
-// returns the labeled sets. The collection is timed as a "collect" child of
-// parent (nil parent is fine — the child span is then a no-op).
-func CollectProfilingSets(dev *Device, opts ProfileOptions, parent *obs.Span) (*ProfilingSets, error) {
-	return CollectProfilingSetsCtx(context.Background(), dev, opts, parent)
-}
-
-// CollectProfilingSetsCtx is CollectProfilingSets with cancellation,
-// checked once per capture run.
+// CollectProfilingSetsCtx runs the capture half of the profiling campaign
+// and returns the labeled sets. The collection is timed as a "collect"
+// child of parent (nil parent is fine — the child span is then a no-op),
+// and ctx is checked once per capture run.
 func CollectProfilingSetsCtx(ctx context.Context, dev *Device, opts ProfileOptions, parent *obs.Span) (*ProfilingSets, error) {
 	sp := parent.Child("collect")
 	defer sp.End()
@@ -232,17 +227,12 @@ func CollectProfilingSetsCtx(ctx context.Context, dev *Device, opts ProfileOptio
 	return sets, nil
 }
 
-// TrainClassifier builds the sign and per-sign value templates from
+// TrainClassifierCtx builds the sign and per-sign value templates from
 // collected profiling sets — the training half of Profile, timed as a
-// "train" child of parent.
-func TrainClassifier(sets *ProfilingSets, opts ProfileOptions, parent *obs.Span) (*CoefficientClassifier, error) {
-	return TrainClassifierCtx(context.Background(), sets, opts, parent)
-}
-
-// TrainClassifierCtx is TrainClassifier with cancellation. The three
-// template sets (sign, positive, negative) are independent, so they are
-// trained concurrently — training is the per-class half of the profiling
-// cost and parallelizes cleanly.
+// "train" child of parent, with cancellation. The three template sets
+// (sign, positive, negative) are independent, so they are trained
+// concurrently — training is the per-class half of the profiling cost and
+// parallelizes cleanly.
 func TrainClassifierCtx(ctx context.Context, sets *ProfilingSets, opts ProfileOptions, parent *obs.Span) (*CoefficientClassifier, error) {
 	sp := parent.Child("train")
 	sp.AddItems(sets.Sign.Len())

@@ -86,7 +86,10 @@ func (ss *segScorer) tailAlignInto(seg trace.Trace) trace.Trace {
 	return seg.ResampleInto(ss.alignBuf)
 }
 
-// classify is ClassifySegment over the reusable scoring context.
+// classify classifies one per-coefficient sub-trace over the reusable
+// scoring context: branch first (V1), then the value template of the
+// recovered side (V2/V3), with the combined posterior
+// P(v) = P(sign)·P(v | sign).
 func (ss *segScorer) classify(seg trace.Trace) (*Classification, error) {
 	aligned := ss.tailAlignInto(seg)
 	signLL, err := ss.sign.ScoreTrace(aligned)

@@ -74,12 +74,19 @@ func legacyClassifySegment(c *CoefficientClassifier, seg trace.Trace) (*Classifi
 	return &Classification{Value: value, Sign: sign, Probs: probs}, nil
 }
 
+// classifyOne classifies one sub-trace on a pooled scoring context.
+func classifyOne(c *CoefficientClassifier, seg trace.Trace) (*Classification, error) {
+	ss := c.scorer()
+	defer c.release(ss)
+	return ss.classify(seg)
+}
+
 // TestClassifySegmentBitwiseMatchesLegacy: the scorer-based classification
 // must reproduce the historical algorithm to the last posterior bit, for
 // every coefficient of a real captured encryption.
 func TestClassifySegmentBitwiseMatchesLegacy(t *testing.T) {
 	cls, cap, params := captureSmall(t, 21)
-	segs, err := trace.SegmentEncryptionTrace(cap.TraceE2, params.N+1, 8)
+	segs, err := trace.NewSegmenter(params.N+1).Segment(cap.TraceE2, params.N+1, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +96,7 @@ func TestClassifySegmentBitwiseMatchesLegacy(t *testing.T) {
 		if err != nil {
 			t.Fatalf("coefficient %d: legacy: %v", i, err)
 		}
-		got, err := cls.ClassifySegment(s.Samples)
+		got, err := classifyOne(cls, s.Samples)
 		if err != nil {
 			t.Fatalf("coefficient %d: %v", i, err)
 		}
@@ -118,7 +125,7 @@ func TestClassifySegmentBitwiseMatchesLegacy(t *testing.T) {
 // like the historical path.
 func TestSegScorerMissingSide(t *testing.T) {
 	cls, cap, params := captureSmall(t, 22)
-	segs, err := trace.SegmentEncryptionTrace(cap.TraceE2, params.N+1, 8)
+	segs, err := trace.NewSegmenter(params.N+1).Segment(cap.TraceE2, params.N+1, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +137,7 @@ func TestSegScorerMissingSide(t *testing.T) {
 	sawErr, sawOK := false, false
 	for _, s := range segs {
 		want, legacyErr := legacyClassifySegment(onlyPos, s.Samples)
-		got, gotErr := onlyPos.ClassifySegment(s.Samples)
+		got, gotErr := classifyOne(onlyPos, s.Samples)
 		if (legacyErr == nil) != (gotErr == nil) {
 			t.Fatalf("error behavior diverged: legacy=%v new=%v", legacyErr, gotErr)
 		}

@@ -96,7 +96,7 @@ type StreamVerdict struct {
 //
 // Determinism contract: over a complete trace with early exit disabled the
 // result is byte-identical (Float64bits level) to the batch
-// Segment+AttackSegments path at the same threshold, independent of chunk
+// Segmenter+AttackSegmentsCtx path at the same threshold, independent of chunk
 // sizes; with early exit enabled, the exit point depends only on the
 // classified-coefficient count, so equal trace prefixes produce equal
 // banked results under any chunking.
@@ -122,15 +122,10 @@ type StreamAttack struct {
 	sp      *obs.Span
 }
 
-// NewStreamAttack validates the options and prepares the incremental
-// pipeline. Close must be called (directly or via Finish) to return the
-// pooled scorer.
-func NewStreamAttack(cls *CoefficientClassifier, opts StreamAttackOptions) (*StreamAttack, error) {
-	return NewStreamAttackCtx(context.Background(), cls, opts)
-}
-
-// NewStreamAttackCtx is NewStreamAttack carrying the caller's trace
-// identity for the stream_attack span.
+// NewStreamAttackCtx validates the options and prepares the incremental
+// pipeline; the stream_attack span carries the trace identity from ctx.
+// Close must be called (directly or via Finish) to return the pooled
+// scorer.
 func NewStreamAttackCtx(ctx context.Context, cls *CoefficientClassifier, opts StreamAttackOptions) (*StreamAttack, error) {
 	if opts.Coefficients < 1 {
 		return nil, fmt.Errorf("core: streaming attack needs at least 1 coefficient, got %d", opts.Coefficients)
@@ -323,4 +318,28 @@ func (sa *StreamAttack) Close() {
 		sa.cls.release(sa.ss)
 		sa.ss = nil
 	}
+}
+
+// StreamMatchesBatch reruns the batch Segmenter+AttackSegmentsCtx path over
+// the complete trace tr of n coefficients (plus the sentinel) and reports
+// whether streamRes digests identical to the batch result truncated to the
+// streamed prefix — the determinism contract, verified on real output.
+func (c *CoefficientClassifier) StreamMatchesBatch(ctx context.Context, tr trace.Trace, n int, streamRes *AttackResult) (bool, error) {
+	segs, err := trace.NewSegmenter(n+1).Segment(tr, n+1, 8)
+	if err != nil {
+		return false, err
+	}
+	batchRes, err := c.AttackSegmentsCtx(ctx, segs[:n])
+	if err != nil {
+		return false, err
+	}
+	sd, err := streamRes.Digest()
+	if err != nil {
+		return false, err
+	}
+	bd, err := batchRes.Prefix(len(streamRes.Values)).Digest()
+	if err != nil {
+		return false, err
+	}
+	return sd == bd, nil
 }

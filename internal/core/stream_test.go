@@ -6,6 +6,7 @@ package core
 // prefix (same prefix ⇒ same hints, whatever the chunking).
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -71,7 +72,7 @@ func streamTestFixture(t *testing.T) (*bfv.Parameters, *CoefficientClassifier, *
 }
 
 // batchE2 runs the batch path on the capture's e2 trace: segment n+1 peaks
-// (sentinel included), classify the first n — exactly what AttackCtx does
+// (sentinel included), classify the first n — exactly what Attack does
 // per polynomial.
 func batchE2(t *testing.T, params *bfv.Parameters, cls *CoefficientClassifier, cap *EncryptionCapture) *AttackResult {
 	t.Helper()
@@ -80,7 +81,7 @@ func batchE2(t *testing.T, params *bfv.Parameters, cls *CoefficientClassifier, c
 	if err != nil {
 		t.Fatalf("batch segmentation: %v", err)
 	}
-	res, err := cls.AttackSegments(segs[:params.N])
+	res, err := cls.AttackSegmentsCtx(context.Background(), segs[:params.N])
 	if err != nil {
 		t.Fatalf("batch attack: %v", err)
 	}
@@ -91,9 +92,9 @@ func batchE2(t *testing.T, params *bfv.Parameters, cls *CoefficientClassifier, c
 // stopping the feed as soon as the attack early-exits.
 func streamE2(t *testing.T, cls *CoefficientClassifier, opts StreamAttackOptions, tr trace.Trace, chunk int) (*AttackResult, *StreamVerdict) {
 	t.Helper()
-	sa, err := NewStreamAttack(cls, opts)
+	sa, err := NewStreamAttackCtx(context.Background(), cls, opts)
 	if err != nil {
-		t.Fatalf("NewStreamAttack: %v", err)
+		t.Fatalf("NewStreamAttackCtx: %v", err)
 	}
 	for off := 0; off < len(tr) && !sa.EarlyExited(); off += chunk {
 		end := off + chunk
@@ -208,6 +209,38 @@ func TestStreamAttackEarlyExitStopsBeforeTraceEnd(t *testing.T) {
 	assertResultsBitIdentical(t, full.Prefix(verdict.Classified), got)
 }
 
+// TestStreamMatchesBatch: the digest check the service and revealctl run
+// accepts a full stream result and an early-exited prefix, and rejects a
+// result that differs in one coefficient.
+func TestStreamMatchesBatch(t *testing.T) {
+	params, cls, cap := streamTestFixture(t)
+	ctx := context.Background()
+	full, _ := streamE2(t, cls, StreamAttackOptions{Coefficients: params.N}, cap.TraceE2, 512)
+	target := streamEarlyExitTarget(t, params, full)
+	prefix, verdict := streamE2(t, cls, StreamAttackOptions{Coefficients: params.N, TargetBikz: target, Params: params}, cap.TraceE2, 512)
+	if !verdict.EarlyExit {
+		t.Fatal("fixture did not early-exit")
+	}
+	for name, res := range map[string]*AttackResult{"full": full, "prefix": prefix} {
+		ok, err := cls.StreamMatchesBatch(ctx, cap.TraceE2, params.N, res)
+		if err != nil || !ok {
+			t.Fatalf("%s stream result: match %v, err %v", name, ok, err)
+		}
+	}
+	tampered := &AttackResult{
+		Values: append([]int(nil), full.Values...),
+		Signs:  full.Signs,
+		Probs:  full.Probs,
+	}
+	tampered.Values[0]++
+	if ok, err := cls.StreamMatchesBatch(ctx, cap.TraceE2, params.N, tampered); err != nil || ok {
+		t.Fatalf("tampered result: match %v, err %v", ok, err)
+	}
+	if _, err := cls.StreamMatchesBatch(ctx, cap.TraceE2[:10], params.N, full); err == nil {
+		t.Fatal("a truncated trace must fail segmentation")
+	}
+}
+
 func TestStreamAttackEarlyExitDeterministicAcrossChunkSizes(t *testing.T) {
 	params, cls, cap := streamTestFixture(t)
 	full := batchE2(t, params, cls, cap)
@@ -237,13 +270,13 @@ func TestStreamAttackEarlyExitDeterministicAcrossChunkSizes(t *testing.T) {
 
 func TestStreamAttackValidation(t *testing.T) {
 	params, cls, _ := streamTestFixture(t)
-	if _, err := NewStreamAttack(cls, StreamAttackOptions{Coefficients: 0}); err == nil {
+	if _, err := NewStreamAttackCtx(context.Background(), cls, StreamAttackOptions{Coefficients: 0}); err == nil {
 		t.Fatal("zero coefficients accepted")
 	}
-	if _, err := NewStreamAttack(cls, StreamAttackOptions{Coefficients: params.N, TargetBikz: 10}); err == nil {
+	if _, err := NewStreamAttackCtx(context.Background(), cls, StreamAttackOptions{Coefficients: params.N, TargetBikz: 10}); err == nil {
 		t.Fatal("target bikz without params accepted")
 	}
-	if _, err := NewStreamAttack(cls, StreamAttackOptions{Coefficients: params.N, TargetBikz: 1e9, Params: params}); err == nil {
+	if _, err := NewStreamAttackCtx(context.Background(), cls, StreamAttackOptions{Coefficients: params.N, TargetBikz: 1e9, Params: params}); err == nil {
 		t.Fatal("target bikz above baseline accepted")
 	}
 }

@@ -355,31 +355,3 @@ func hermiteEliminate(gens *Basis) (*Basis, error) {
 	}
 	return &Basis{rows: out}, nil
 }
-
-// ProgressiveBKZ runs BKZ with increasing block sizes (doubling from 4 up
-// to maxBlock), the standard practical schedule: early cheap tours improve
-// the basis so the expensive large-block tours start from a better place.
-func ProgressiveBKZ(b *Basis, maxBlock int) error {
-	if maxBlock < 2 {
-		return fmt.Errorf("lattice: maxBlock %d must be >= 2", maxBlock)
-	}
-	if err := LLL(b, 0); err != nil {
-		return err
-	}
-	for block := 4; ; block *= 2 {
-		if block > maxBlock {
-			block = maxBlock
-		}
-		if block > b.NumRows() {
-			block = b.NumRows()
-		}
-		if block >= 2 {
-			if err := BKZ(b, block, 2); err != nil {
-				return err
-			}
-		}
-		if block >= maxBlock || block >= b.NumRows() {
-			return nil
-		}
-	}
-}

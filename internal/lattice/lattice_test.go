@@ -462,27 +462,3 @@ func TestRootHermiteFactorLLLRange(t *testing.T) {
 		t.Errorf("BKZ worsened δ: %v -> %v", delta, d2)
 	}
 }
-
-func TestProgressiveBKZ(t *testing.T) {
-	rng := rand.New(rand.NewSource(101))
-	b := randomBasis(rng, 10, 80)
-	lll := b.Clone()
-	if err := LLL(lll, 0); err != nil {
-		t.Fatal(err)
-	}
-	prog := b.Clone()
-	if err := ProgressiveBKZ(prog, 8); err != nil {
-		t.Fatal(err)
-	}
-	if prog.NormSq(0).Cmp(lll.NormSq(0)) > 0 {
-		t.Errorf("progressive BKZ worse than LLL: %v > %v", prog.NormSq(0), lll.NormSq(0))
-	}
-	volA, _ := b.VolumeSq()
-	volB, _ := prog.VolumeSq()
-	if volA.Cmp(volB) != 0 {
-		t.Error("progressive BKZ changed the lattice")
-	}
-	if err := ProgressiveBKZ(b, 1); err == nil {
-		t.Error("maxBlock 1 should fail")
-	}
-}

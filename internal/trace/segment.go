@@ -1,43 +1,6 @@
 package trace
 
-import (
-	"fmt"
-
-	"reveal/internal/obs"
-)
-
-// FindPeaks returns the indices of local maxima exceeding threshold, with
-// at least minDistance samples between accepted peaks (the larger peak
-// wins in a conflict). This is how the attacker locates the start of each
-// coefficient's sampling (the paper's visible distribution-call peaks,
-// Fig. 3a).
-func FindPeaks(t Trace, threshold float64, minDistance int) []int {
-	if minDistance < 1 {
-		minDistance = 1
-	}
-	var peaks []int
-	for i := 1; i < len(t)-1; i++ {
-		if t[i] < threshold {
-			continue
-		}
-		if t[i] < t[i-1] || t[i] < t[i+1] {
-			continue
-		}
-		// Plateau handling: only take the first sample of a plateau.
-		if t[i] == t[i-1] {
-			continue
-		}
-		if len(peaks) > 0 && i-peaks[len(peaks)-1] < minDistance {
-			// Keep the taller of the two.
-			if t[i] > t[peaks[len(peaks)-1]] {
-				peaks[len(peaks)-1] = i
-			}
-			continue
-		}
-		peaks = append(peaks, i)
-	}
-	return peaks
-}
+import "fmt"
 
 // AutoThreshold picks a peak threshold between the trace's bulk level and
 // its maximum: mean + frac·(max − mean). frac = 0.5 works well for the
@@ -53,78 +16,53 @@ type Segment struct {
 	Samples    Trace
 }
 
-// SegmentByPeaks cuts the trace at each peak index: segment k covers
-// [peak_k, peak_{k+1}) and the last segment runs to the end of the trace.
-// It returns an error when fewer than one peak was found.
-func SegmentByPeaks(t Trace, peaks []int) ([]Segment, error) {
-	if len(peaks) == 0 {
-		return nil, fmt.Errorf("trace: no peaks to segment by")
-	}
-	segs := make([]Segment, 0, len(peaks))
-	for k, p := range peaks {
-		end := len(t)
-		if k+1 < len(peaks) {
-			end = peaks[k+1]
-		}
-		if p >= end {
-			return nil, fmt.Errorf("trace: invalid peak ordering at %d", k)
-		}
-		segs = append(segs, Segment{Start: p, End: end, Samples: t[p:end].Clone()})
-	}
-	return segs, nil
+// Segmenter cuts whole encryption traces into per-coefficient sub-traces
+// (the paper's §III-C): it locates the sampler-port peaks that mark the
+// start of each coefficient's sampling (Fig. 3a) and cuts the trace at
+// them. It is the whole-buffer form of StreamSegmenter and runs the same
+// peak scan and cutting code, so its peak and segment buffers are reused
+// across calls. One Segmenter serves one goroutine.
+type Segmenter struct {
+	s StreamSegmenter
 }
 
-// SegmentEncryptionTrace performs the full §III-C procedure: find the
-// sampler-port peaks and cut the trace into exactly want sub-traces (one
-// per coefficient). It returns an error when the count does not match,
-// which signals mis-calibration of the threshold.
-func SegmentEncryptionTrace(t Trace, want int, minDistance int) ([]Segment, error) {
-	if len(t) == 0 {
-		return nil, fmt.Errorf("trace: cannot segment an empty trace")
+// NewSegmenter returns a Segmenter sized for traces with about the given
+// number of coefficients (a hint; buffers grow as needed).
+func NewSegmenter(coeffHint int) *Segmenter {
+	if coeffHint < 0 {
+		coeffHint = 0
 	}
+	return &Segmenter{s: StreamSegmenter{
+		peaks: make([]int, 0, coeffHint),
+		out:   make([]Segment, 0, coeffHint),
+	}}
+}
+
+// Segment cuts t into exactly want sub-traces: the peak threshold is
+// AutoThreshold(t, 0.5) over the whole trace, peaks closer than
+// minDistance keep the taller one, segment k covers [peak_k, peak_{k+1})
+// and the last runs to the end of the trace. A peak count other than want
+// is an error, which signals mis-calibration of the threshold.
+//
+// Segment adopts t as the segmenter's buffer without copying it: the
+// returned segments are views into t, and the slice is owned by the
+// Segmenter, which reuses it on the next Segment call. Callers that need
+// the sub-traces to outlive t must Clone them.
+func (sg *Segmenter) Segment(t Trace, want int, minDistance int) ([]Segment, error) {
 	if want < 1 {
 		return nil, fmt.Errorf("trace: want %d segments, need at least 1", want)
 	}
-	sp := obs.StartSpan("segment")
-	defer sp.End()
-	thr := AutoThreshold(t, 0.5)
-	peaks := FindPeaks(t, thr, minDistance)
-	if len(peaks) != want {
-		return nil, fmt.Errorf("trace: found %d sampling peaks, want %d (threshold %.3f)",
-			len(peaks), want, thr)
+	if minDistance < 1 {
+		minDistance = 1
 	}
-	segs, err := SegmentByPeaks(t, peaks)
-	if err != nil {
-		return nil, err
+	sg.s = StreamSegmenter{
+		cfg:   StreamSegmenterConfig{Want: want, MinDistance: minDistance},
+		thr:   AutoThreshold(t, 0.5),
+		calib: true,
+		buf:   t,
+		peaks: sg.s.peaks[:0],
+		next:  1,
+		out:   sg.s.out,
 	}
-	sp.AddItems(len(segs))
-	return segs, nil
-}
-
-// NormalizeSegments resamples every segment to the same length (the median
-// length), producing the aligned matrix the template attack operates on.
-func NormalizeSegments(segs []Segment, length int) []Trace {
-	out := make([]Trace, len(segs))
-	for i, s := range segs {
-		out[i] = s.Samples.Resample(length)
-	}
-	return out
-}
-
-// MedianLength returns the median segment length (0 for empty input).
-func MedianLength(segs []Segment) int {
-	if len(segs) == 0 {
-		return 0
-	}
-	lengths := make([]int, len(segs))
-	for i, s := range segs {
-		lengths[i] = len(s.Samples)
-	}
-	// Insertion sort: segment counts are small (≤ 32768).
-	for i := 1; i < len(lengths); i++ {
-		for j := i; j > 0 && lengths[j] < lengths[j-1]; j-- {
-			lengths[j], lengths[j-1] = lengths[j-1], lengths[j]
-		}
-	}
-	return lengths[len(lengths)/2]
+	return sg.s.Flush()
 }

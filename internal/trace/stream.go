@@ -161,7 +161,7 @@ func (sr *StreamReader) ReadChunk(dst Trace) (int, error) {
 // auto-calibrates the peak threshold over when none is given explicitly.
 // The sampler-port spikes tower an order of magnitude above the bulk
 // instruction-power level, so any window covering a handful of iterations
-// separates them as cleanly as the batch path's whole-trace AutoThreshold.
+// separates them as cleanly as Segmenter's whole-trace AutoThreshold.
 const DefaultCalibrationSamples = 512
 
 // StreamSegmenterConfig configures an incremental segmenter.
@@ -169,25 +169,27 @@ type StreamSegmenterConfig struct {
 	// Want is the exact number of segments (peaks) the trace must contain;
 	// more is an error as soon as observed, fewer is an error at Flush.
 	Want int
-	// MinDistance is the FindPeaks minimum peak spacing (values < 1 mean 1).
+	// MinDistance is the minimum peak spacing; of two candidates closer
+	// than that the taller wins (values < 1 mean 1).
 	MinDistance int
 	// Threshold fixes the peak threshold. When 0, the threshold is
 	// auto-calibrated with AutoThreshold over the first CalibrationSamples
-	// buffered samples (or the whole trace at Flush, matching the batch
-	// path exactly, if the trace is shorter than the window).
+	// buffered samples (or the whole trace at Flush, matching Segmenter
+	// exactly, if the trace is shorter than the window).
 	Threshold float64
 	// CalibrationSamples sizes the auto-calibration window (0 means
 	// DefaultCalibrationSamples).
 	CalibrationSamples int
 }
 
-// StreamSegmenter is the incremental form of Segmenter: samples arrive in
-// chunks, and a Segment is emitted the moment its closing peak is
-// confirmed — i.e. once enough subsequent samples have been seen that no
-// later, taller local maximum can displace that peak within MinDistance.
-// Over a complete trace the emitted peak set and segment boundaries are
-// identical to FindPeaks/SegmentByPeaks at the same threshold, regardless
-// of how the samples were chunked.
+// StreamSegmenter holds the package's one peak scan and cutting routine;
+// Segmenter runs it over a whole buffer. Here samples arrive in chunks,
+// and a Segment is emitted the moment its closing peak is confirmed —
+// i.e. once enough subsequent samples have been seen that no later,
+// taller local maximum can displace that peak within MinDistance. Over a
+// complete trace the emitted peak set and segment boundaries equal
+// Segmenter's at the same threshold, regardless of how the samples were
+// chunked.
 //
 // Emitted Segment.Samples are views into the segmenter's internal buffer;
 // already-written samples are never mutated, so the views stay valid for
@@ -297,11 +299,12 @@ func (sg *StreamSegmenter) Flush() ([]Segment, error) {
 	return sg.emit(true), nil
 }
 
-// scan advances the incremental peak detection over the unprocessed
-// buffer. The candidate test is byte-for-byte the FindPeaks logic —
-// threshold, plateau skip, taller-peak-wins within MinDistance — applied
-// to indices whose right neighbour exists; final forces calibration and
-// lets the scan consume the last interior index.
+// scan advances the peak detection over the unprocessed buffer. A
+// candidate is an interior local maximum at or above the threshold; only
+// the first sample of a plateau counts, and of two candidates closer than
+// MinDistance the taller wins. Only indices whose right neighbour exists
+// are scanned; final forces calibration and lets the scan consume the
+// last interior index.
 func (sg *StreamSegmenter) scan(final bool) error {
 	if !sg.calib {
 		switch {

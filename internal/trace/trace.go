@@ -57,38 +57,46 @@ func (t Trace) Std() float64 {
 
 // Resample stretches or compresses the trace to exactly n samples using
 // linear interpolation; used to align time-variant sub-traces before
-// template matching.
+// template matching. n <= 0 yields an empty trace.
 func (t Trace) Resample(n int) Trace {
 	if n <= 0 {
 		return Trace{}
 	}
+	return t.ResampleInto(make(Trace, n))
+}
+
+// ResampleInto is Resample writing into dst (len(dst) samples) without
+// allocating. An empty source zero-fills dst and a one-sample source
+// broadcasts. It returns dst.
+func (t Trace) ResampleInto(dst Trace) Trace {
+	n := len(dst)
+	if n == 0 {
+		return dst
+	}
 	if len(t) == 0 {
-		return make(Trace, n)
-	}
-	if len(t) == 1 {
-		out := make(Trace, n)
-		for i := range out {
-			out[i] = t[0]
+		for i := range dst {
+			dst[i] = 0
 		}
-		return out
+		return dst
 	}
-	out := make(Trace, n)
+	if len(t) == 1 || n == 1 {
+		for i := range dst {
+			dst[i] = t[0]
+		}
+		return dst
+	}
 	scale := float64(len(t)-1) / float64(n-1)
-	if n == 1 {
-		out[0] = t[0]
-		return out
-	}
 	for i := 0; i < n; i++ {
 		pos := float64(i) * scale
 		lo := int(pos)
 		if lo >= len(t)-1 {
-			out[i] = t[len(t)-1]
+			dst[i] = t[len(t)-1]
 			continue
 		}
 		frac := pos - float64(lo)
-		out[i] = t[lo]*(1-frac) + t[lo+1]*frac
+		dst[i] = t[lo]*(1-frac) + t[lo+1]*frac
 	}
-	return out
+	return dst
 }
 
 // LowPass applies a simple moving-average filter of the given window,

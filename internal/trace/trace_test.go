@@ -88,6 +88,31 @@ func TestResampleIdentityQuick(t *testing.T) {
 	}
 }
 
+func TestResampleIntoMatchesResample(t *testing.T) {
+	tr := spikedTrace(4, 9, 3)
+	for _, n := range []int{1, 2, 7, len(tr), len(tr) * 2} {
+		want := tr.Resample(n)
+		dst := make(Trace, n)
+		got := tr.ResampleInto(dst)
+		for i := range want {
+			if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+				t.Fatalf("n=%d sample %d: %x, want %x", n, i,
+					math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+	}
+	// Degenerate inputs.
+	if got := (Trace{}).ResampleInto(make(Trace, 3)); got[0] != 0 || got[2] != 0 {
+		t.Errorf("empty source should zero-fill, got %v", got)
+	}
+	if got := (Trace{5}).ResampleInto(make(Trace, 3)); got[0] != 5 || got[2] != 5 {
+		t.Errorf("single-sample source should broadcast, got %v", got)
+	}
+	if got := (Trace{1, 2}).ResampleInto(Trace{}); len(got) != 0 {
+		t.Errorf("empty destination should stay empty")
+	}
+}
+
 func TestLowPass(t *testing.T) {
 	tr := Trace{0, 0, 10, 0, 0}
 	f := tr.LowPass(2)
@@ -130,90 +155,6 @@ func TestByLabel(t *testing.T) {
 	groups := s.ByLabel()
 	if len(groups[5]) != 2 || len(groups[-3]) != 1 {
 		t.Errorf("groups=%v", groups)
-	}
-}
-
-func TestFindPeaks(t *testing.T) {
-	tr := Trace{0, 0, 5, 0, 0, 0, 7, 0, 1, 0}
-	peaks := FindPeaks(tr, 3, 2)
-	if len(peaks) != 2 || peaks[0] != 2 || peaks[1] != 6 {
-		t.Errorf("peaks=%v", peaks)
-	}
-	// minDistance merging keeps the taller peak.
-	tr2 := Trace{0, 5, 0, 9, 0}
-	peaks = FindPeaks(tr2, 3, 5)
-	if len(peaks) != 1 || peaks[0] != 3 {
-		t.Errorf("merged peaks=%v", peaks)
-	}
-	// Below threshold: nothing.
-	if got := FindPeaks(tr, 100, 1); len(got) != 0 {
-		t.Errorf("peaks above max threshold: %v", got)
-	}
-}
-
-func TestSegmentByPeaks(t *testing.T) {
-	tr := Trace{9, 1, 2, 9, 1, 2, 9, 1}
-	segs, err := SegmentByPeaks(tr, []int{0, 3, 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) != 3 {
-		t.Fatalf("segments=%d", len(segs))
-	}
-	if segs[0].Start != 0 || segs[0].End != 3 || len(segs[0].Samples) != 3 {
-		t.Errorf("seg0=%+v", segs[0])
-	}
-	if segs[2].End != len(tr) {
-		t.Error("last segment must run to trace end")
-	}
-	if _, err := SegmentByPeaks(tr, nil); err == nil {
-		t.Error("no peaks should fail")
-	}
-	if _, err := SegmentByPeaks(tr, []int{5, 5}); err == nil {
-		t.Error("non-increasing peaks should fail")
-	}
-}
-
-func TestSegmentEncryptionTrace(t *testing.T) {
-	// Synthetic trace: 4 spikes of height 10 over a noise floor ~1.
-	var tr Trace
-	for k := 0; k < 4; k++ {
-		tr = append(tr, 10)
-		for i := 0; i < 20; i++ {
-			tr = append(tr, 1+0.01*float64(i%3))
-		}
-	}
-	// FindPeaks needs a left neighbor; prepend a low sample.
-	tr = append(Trace{0}, tr...)
-	segs, err := SegmentEncryptionTrace(tr, 4, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) != 4 {
-		t.Fatalf("segments=%d", len(segs))
-	}
-	if _, err := SegmentEncryptionTrace(tr, 5, 5); err == nil {
-		t.Error("wrong expected count should fail")
-	}
-}
-
-func TestNormalizeAndMedian(t *testing.T) {
-	segs := []Segment{
-		{Samples: Trace{1, 2, 3}},
-		{Samples: Trace{1, 2, 3, 4, 5}},
-		{Samples: Trace{1, 2, 3, 4}},
-	}
-	if MedianLength(segs) != 4 {
-		t.Errorf("median=%d", MedianLength(segs))
-	}
-	norm := NormalizeSegments(segs, 4)
-	for i, tr := range norm {
-		if len(tr) != 4 {
-			t.Errorf("segment %d length %d", i, len(tr))
-		}
-	}
-	if MedianLength(nil) != 0 {
-		t.Error("empty median should be 0")
 	}
 }
 
@@ -297,79 +238,6 @@ func TestWriteMultiCSV(t *testing.T) {
 	}
 	if err := WriteMultiCSV(&buf, []string{"a"}, []Trace{{1}, {2}}); err == nil {
 		t.Error("name/series mismatch should fail")
-	}
-}
-
-func TestDTWIdenticalTraces(t *testing.T) {
-	a := Trace{1, 2, 3, 2, 1}
-	d, path, err := DTW(a, a, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 0 {
-		t.Errorf("self distance %v", d)
-	}
-	// The path of identical traces is the diagonal.
-	for _, p := range path {
-		if p[0] != p[1] {
-			t.Errorf("non-diagonal path element %v", p)
-		}
-	}
-}
-
-func TestDTWAlignsStretchedSignal(t *testing.T) {
-	ref := Trace{0, 0, 5, 5, 0, 0}
-	// Same shape with the plateau stretched.
-	stretched := Trace{0, 0, 5, 5, 5, 5, 0, 0}
-	d, _, err := DTW(ref, stretched, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d > 1e-9 {
-		t.Errorf("stretched distance %v, want ~0 (DTW should absorb stretching)", d)
-	}
-	// Plain Euclidean after resampling would NOT be ~0.
-	rs := stretched.Resample(len(ref))
-	euclid := 0.0
-	for i := range ref {
-		euclid += (ref[i] - rs[i]) * (ref[i] - rs[i])
-	}
-	if euclid < 1 {
-		t.Skip("resampling happened to align; DTW advantage not demonstrable here")
-	}
-}
-
-func TestDTWWindowTooNarrow(t *testing.T) {
-	a := Trace{1, 2, 3, 4, 5, 6, 7, 8}
-	b := Trace{1, 2}
-	// Window forced wide enough by length difference; must not error.
-	if _, _, err := DTW(a, b, 1); err != nil {
-		t.Errorf("window auto-widening failed: %v", err)
-	}
-	if _, _, err := DTW(Trace{}, b, 0); err == nil {
-		t.Error("empty trace should fail")
-	}
-}
-
-func TestWarpTo(t *testing.T) {
-	ref := Trace{0, 1, 4, 1, 0}
-	moved := Trace{0, 0, 1, 4, 1, 0}
-	warped, err := WarpTo(ref, moved, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(warped) != len(ref) {
-		t.Fatalf("warped length %d want %d", len(warped), len(ref))
-	}
-	// The peak must land on the reference peak position.
-	peak, peakAt := warped[0], 0
-	for i, v := range warped {
-		if v > peak {
-			peak, peakAt = v, i
-		}
-	}
-	if peakAt != 2 {
-		t.Errorf("warped peak at %d want 2 (got %v)", peakAt, warped)
 	}
 }
 
