@@ -33,7 +33,20 @@ func TemplateCacheKey(dev *Device, opts ProfileOptions) string {
 	// so the fingerprint is deterministic.
 	fmt.Fprintf(h, "%v|%d|%d|%d|%d|%d|", *dev.Model,
 		dev.WaitBase, dev.WaitPerRejection, dev.MemSize, dev.NoiseSeed, dev.TriggerJitter)
-	cfg, err := json.Marshal(opts)
+	// The options hash as they did while sca.TemplateOptions still had a
+	// Pooled field (true in every profile), so caches and template
+	// registries filled before its removal keep hitting.
+	type pooledTemplateOptions struct {
+		POICount, MinSpacing int
+		Ridge                float64
+		Pooled               bool
+		Selector             string
+	}
+	t := opts.Templates
+	cfg, err := json.Marshal(struct {
+		ProfileOptions
+		Templates pooledTemplateOptions
+	}{opts, pooledTemplateOptions{t.POICount, t.MinSpacing, t.Ridge, true, t.Selector}})
 	if err != nil {
 		// ProfileOptions is plain data; Marshal cannot fail in practice,
 		// but fall back to the fmt rendering rather than panic.

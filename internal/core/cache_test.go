@@ -17,6 +17,14 @@ func TestTemplateCacheKeyStability(t *testing.T) {
 	if k1 != k2 {
 		t.Fatalf("same config produced different keys: %s vs %s", k1, k2)
 	}
+	// Pinned: keys must not move when ProfileOptions changes shape, or
+	// every cached and registry template set would be retrained.
+	if k1 != "tmpl-250aa99f90b1942d" {
+		t.Fatalf("default key moved: %s", k1)
+	}
+	if k := TemplateCacheKey(NewLowNoiseDevice(1), HighAccuracyProfileOptions()); k != "tmpl-7045412e5feebb81" {
+		t.Fatalf("high-accuracy key moved: %s", k)
+	}
 	if k3 := TemplateCacheKey(NewDevice(2), opts); k3 == k1 {
 		t.Fatal("different device seeds share a key")
 	}

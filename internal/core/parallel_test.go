@@ -15,7 +15,12 @@ import (
 func captureSmall(t *testing.T, seed uint64) (*CoefficientClassifier, *EncryptionCapture, *bfv.Parameters) {
 	t.Helper()
 	dev := NewDevice(seed)
-	cls := smallProfile(t, dev)
+	return captureOn(t, dev, smallProfile(t, dev), seed)
+}
+
+// captureOn captures one encryption on dev for the classifier cls.
+func captureOn(t *testing.T, dev *Device, cls *CoefficientClassifier, seed uint64) (*CoefficientClassifier, *EncryptionCapture, *bfv.Parameters) {
+	t.Helper()
 	params := smallParams(t)
 	prng := sampler.NewXoshiro256(seed ^ 0xFACE)
 	kg := bfv.NewKeyGenerator(params, prng)

@@ -11,11 +11,9 @@ import (
 // segScorer is a per-goroutine classification context over one trained
 // CoefficientClassifier: one reusable sca.Scorer per template set (sign,
 // positive values, negative values), a reusable tail-alignment buffer, and
-// the precomputed sorted label set of the combined posterior. It computes
-// each class log-likelihood exactly once per segment — the map-based path
-// scored the sign templates twice (posterior + argmax) and the recovered
-// side's value templates twice more — while keeping every floating-point
-// operation in the same order, so results are bitwise identical.
+// the precomputed label layout of the combined posterior. It computes each
+// class log-likelihood exactly once per segment and fills the posterior
+// map in one insertion pass.
 type segScorer struct {
 	c              *CoefficientClassifier
 	sign, pos, neg *sca.Scorer
@@ -23,14 +21,18 @@ type segScorer struct {
 	// Posterior scratch per template set, indexed by class.
 	signPost, posPost, negPost []float64
 	// Indices of the −1/0/+1 labels in the sign scorer's class order
-	// (−1 when the label is absent — its posterior then reads as 0,
-	// matching the historical map lookup of a missing key).
+	// (−1 when the label is absent — its posterior then reads as 0).
 	idxNeg, idxZero, idxPos int
 	// sortedLabels is the ascending label set of the combined posterior:
-	// negative labels, 0, positive labels. Precomputed once so the
-	// normalization sum runs in the same order the map-based path produced
-	// by sorting per segment.
+	// negative labels, 0, positive labels. The normalization sum runs in
+	// this order (float addition is order-sensitive).
 	sortedLabels []int
+	// posSlot/negSlot map each value scorer's class index to its entry of
+	// sortedLabels; zeroSlot is label 0's entry. combined is the per-label
+	// scratch the posterior is assembled in before it becomes a map.
+	posSlot, negSlot []int
+	zeroSlot         int
+	combined         []float64
 }
 
 func newSegScorer(c *CoefficientClassifier) *segScorer {
@@ -64,7 +66,8 @@ func newSegScorer(c *CoefficientClassifier) *segScorer {
 	}
 	sort.Ints(labels)
 	// Dedupe: the combined posterior is a map, so a label shared between
-	// template sets must contribute to the normalization sum only once.
+	// template sets gets one slot and contributes to the normalization sum
+	// only once.
 	uniq := labels[:0]
 	for i, l := range labels {
 		if i == 0 || l != labels[i-1] {
@@ -72,6 +75,22 @@ func newSegScorer(c *CoefficientClassifier) *segScorer {
 		}
 	}
 	ss.sortedLabels = uniq
+	ss.combined = make([]float64, len(uniq))
+	slot := func(l int) int { return sort.SearchInts(uniq, l) }
+	ss.zeroSlot = slot(0)
+	slots := func(s *sca.Scorer) []int {
+		out := make([]int, s.Classes())
+		for ci := range out {
+			out[ci] = slot(s.Label(ci))
+		}
+		return out
+	}
+	if ss.pos != nil {
+		ss.posSlot = slots(ss.pos)
+	}
+	if ss.neg != nil {
+		ss.negSlot = slots(ss.neg)
+	}
 	return ss
 }
 
@@ -105,8 +124,11 @@ func (ss *segScorer) classify(seg trace.Trace) (*Classification, error) {
 		}
 		return ss.signPost[idx]
 	}
-	probs := make(map[int]float64, len(ss.sortedLabels))
-	probs[0] = postAt(ss.idxZero)
+	// Assemble P(v) = P(sign)·P(v | sign) per label slot. Writes go 0,
+	// positive, negative, so a label shared between template sets keeps
+	// the last writer's value.
+	comb := ss.combined
+	comb[ss.zeroSlot] = postAt(ss.idxZero)
 	var posLL, negLL []float64
 	if ss.pos != nil {
 		posLL, err = ss.pos.ScoreTrace(aligned)
@@ -116,7 +138,7 @@ func (ss *segScorer) classify(seg trace.Trace) (*Classification, error) {
 		ss.pos.PosteriorValues(posLL, ss.posPost)
 		pSign := postAt(ss.idxPos)
 		for ci, p := range ss.posPost {
-			probs[ss.pos.Label(ci)] = pSign * p
+			comb[ss.posSlot[ci]] = pSign * p
 		}
 	}
 	if ss.neg != nil {
@@ -127,19 +149,21 @@ func (ss *segScorer) classify(seg trace.Trace) (*Classification, error) {
 		ss.neg.PosteriorValues(negLL, ss.negPost)
 		nSign := postAt(ss.idxNeg)
 		for ci, p := range ss.negPost {
-			probs[ss.neg.Label(ci)] = nSign * p
+			comb[ss.negSlot[ci]] = nSign * p
 		}
 	}
-	// Normalize in ascending label order (float addition is
-	// order-sensitive; map order would make reruns drift in the last bits).
+	// Normalize in ascending label order, then insert each label once.
 	total := 0.0
-	for _, v := range ss.sortedLabels {
-		total += probs[v]
+	for _, v := range comb {
+		total += v
 	}
-	if total > 0 {
-		for v := range probs {
-			probs[v] /= total
+	probs := make(map[int]float64, len(comb))
+	for i, l := range ss.sortedLabels {
+		p := comb[i]
+		if total > 0 {
+			p /= total
 		}
+		probs[l] = p
 	}
 
 	// Maximum-likelihood value within the recovered sign class, reusing the

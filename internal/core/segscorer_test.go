@@ -1,30 +1,59 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sort"
 	"testing"
 
+	"reveal/internal/sca"
+	"reveal/internal/testkit"
 	"reveal/internal/trace"
 )
 
+// legacyClassifier holds a classifier's template sets as the per-class
+// solve reference of internal/testkit, decoded from their serialized bytes.
+type legacyClassifier struct {
+	length         int
+	sign, pos, neg *testkit.RefTemplates
+}
+
+func legacyOf(t *testing.T, c *CoefficientClassifier) *legacyClassifier {
+	t.Helper()
+	ref := func(tpl *sca.Templates) *testkit.RefTemplates {
+		if tpl == nil {
+			return nil
+		}
+		var buf bytes.Buffer
+		if err := sca.WriteTemplates(&buf, tpl); err != nil {
+			t.Fatal(err)
+		}
+		r, err := testkit.DecodeRefTemplates(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	return &legacyClassifier{length: c.Length, sign: ref(c.Sign), pos: ref(c.Pos), neg: ref(c.Neg)}
+}
+
 // legacyClassifySegment replicates the pre-scorer classification pipeline —
-// map-based posteriors, duplicate template evaluations and all — as the
-// bitwise ground truth for the pooled segScorer path.
-func legacyClassifySegment(c *CoefficientClassifier, seg trace.Trace) (*Classification, error) {
-	aligned := tailAlign(seg, c.Length)
-	signProbs, err := c.Sign.Probabilities(aligned)
+// one Cholesky solve per class, map-based posteriors, duplicate template
+// evaluations and all — as the tolerance oracle for the segScorer path.
+func legacyClassifySegment(c *legacyClassifier, seg trace.Trace) (*Classification, error) {
+	aligned := tailAlign(seg, c.length)
+	signProbs, err := c.sign.Probabilities(aligned)
 	if err != nil {
 		return nil, fmt.Errorf("core: sign classification: %w", err)
 	}
-	sign, err := c.Sign.Classify(aligned)
+	sign, err := c.sign.Classify(aligned)
 	if err != nil {
 		return nil, err
 	}
 	probs := map[int]float64{0: signProbs[0]}
-	if c.Pos != nil {
-		posProbs, err := c.Pos.Probabilities(aligned)
+	if c.pos != nil {
+		posProbs, err := c.pos.Probabilities(aligned)
 		if err != nil {
 			return nil, err
 		}
@@ -32,8 +61,8 @@ func legacyClassifySegment(c *CoefficientClassifier, seg trace.Trace) (*Classifi
 			probs[v] = signProbs[1] * p
 		}
 	}
-	if c.Neg != nil {
-		negProbs, err := c.Neg.Probabilities(aligned)
+	if c.neg != nil {
+		negProbs, err := c.neg.Probabilities(aligned)
 		if err != nil {
 			return nil, err
 		}
@@ -58,20 +87,42 @@ func legacyClassifySegment(c *CoefficientClassifier, seg trace.Trace) (*Classifi
 	value := 0
 	switch sign {
 	case 1:
-		if c.Pos == nil {
+		if c.pos == nil {
 			return nil, fmt.Errorf("core: no positive templates")
 		}
-		value, err = c.Pos.Classify(aligned)
+		value, err = c.pos.Classify(aligned)
 	case -1:
-		if c.Neg == nil {
+		if c.neg == nil {
 			return nil, fmt.Errorf("core: no negative templates")
 		}
-		value, err = c.Neg.Classify(aligned)
+		value, err = c.neg.Classify(aligned)
 	}
 	if err != nil {
 		return nil, err
 	}
 	return &Classification{Value: value, Sign: sign, Probs: probs}, nil
+}
+
+// matchesLegacy checks a classification against the oracle's: the same
+// value and sign, the same posterior labels, and every posterior within
+// testkit.OracleTol.
+func matchesLegacy(got, want *Classification) error {
+	if got.Value != want.Value || got.Sign != want.Sign {
+		return fmt.Errorf("value/sign (%d,%d), want (%d,%d)", got.Value, got.Sign, want.Value, want.Sign)
+	}
+	if len(got.Probs) != len(want.Probs) {
+		return fmt.Errorf("%d posterior entries, want %d", len(got.Probs), len(want.Probs))
+	}
+	for v, p := range want.Probs {
+		gp, ok := got.Probs[v]
+		if !ok {
+			return fmt.Errorf("posterior missing value %d", v)
+		}
+		if math.Abs(gp-p) > testkit.OracleTol {
+			return fmt.Errorf("posterior[%d] = %v, want %v", v, gp, p)
+		}
+	}
+	return nil
 }
 
 // classifyOne classifies one sub-trace on a pooled scoring context.
@@ -81,40 +132,41 @@ func classifyOne(c *CoefficientClassifier, seg trace.Trace) (*Classification, er
 	return ss.classify(seg)
 }
 
-// TestClassifySegmentBitwiseMatchesLegacy: the scorer-based classification
-// must reproduce the historical algorithm to the last posterior bit, for
-// every coefficient of a real captured encryption.
-func TestClassifySegmentBitwiseMatchesLegacy(t *testing.T) {
-	cls, cap, params := captureSmall(t, 21)
-	segs, err := trace.NewSegmenter(params.N+1).Segment(cap.TraceE2, params.N+1, 8)
-	if err != nil {
-		t.Fatal(err)
+// TestClassifySegmentMatchesLegacy: the whitened scorer reproduces the
+// per-class-solve algorithm's decisions exactly and its posteriors within
+// testkit.OracleTol, for every coefficient of a real captured encryption,
+// on 12-, 24- and 28-POI classifiers.
+func TestClassifySegmentMatchesLegacy(t *testing.T) {
+	fixtures := []struct {
+		name        string
+		dev         *Device
+		pois, space int
+		seed        uint64
+	}{
+		{"24 POIs", NewDevice(21), 24, 1, 21},
+		{"12 POIs default device", NewDevice(23), 12, 2, 23},
+		{"28 POIs low-noise device", NewLowNoiseDevice(24), 28, 1, 24},
 	}
-	segs = segs[:params.N]
-	for i, s := range segs {
-		want, err := legacyClassifySegment(cls, s.Samples)
-		if err != nil {
-			t.Fatalf("coefficient %d: legacy: %v", i, err)
-		}
-		got, err := classifyOne(cls, s.Samples)
-		if err != nil {
-			t.Fatalf("coefficient %d: %v", i, err)
-		}
-		if got.Value != want.Value || got.Sign != want.Sign {
-			t.Fatalf("coefficient %d: value/sign (%d,%d), want (%d,%d)",
-				i, got.Value, got.Sign, want.Value, want.Sign)
-		}
-		if len(got.Probs) != len(want.Probs) {
-			t.Fatalf("coefficient %d: %d posterior entries, want %d", i, len(got.Probs), len(want.Probs))
-		}
-		for v, p := range want.Probs {
-			gp, ok := got.Probs[v]
-			if !ok {
-				t.Fatalf("coefficient %d: posterior missing value %d", i, v)
+	for _, fx := range fixtures {
+		cls, cap, params := captureOn(t, fx.dev, smallProfileAt(t, fx.dev, fx.pois, fx.space), fx.seed)
+		legacy := legacyOf(t, cls)
+		for _, tr := range []trace.Trace{cap.TraceE1, cap.TraceE2} {
+			segs, err := trace.NewSegmenter(params.N+1).Segment(tr, params.N+1, 8)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if math.Float64bits(p) != math.Float64bits(gp) {
-				t.Fatalf("coefficient %d: posterior[%d] = %x, want %x",
-					i, v, math.Float64bits(gp), math.Float64bits(p))
+			for i, s := range segs[:params.N] {
+				want, err := legacyClassifySegment(legacy, s.Samples)
+				if err != nil {
+					t.Fatalf("%s coefficient %d: legacy: %v", fx.name, i, err)
+				}
+				got, err := classifyOne(cls, s.Samples)
+				if err != nil {
+					t.Fatalf("%s coefficient %d: %v", fx.name, i, err)
+				}
+				if err := matchesLegacy(got, want); err != nil {
+					t.Fatalf("%s coefficient %d: %v", fx.name, i, err)
+				}
 			}
 		}
 	}
@@ -134,9 +186,10 @@ func TestSegScorerMissingSide(t *testing.T) {
 		Length: cls.Length, MaxAbsValue: cls.MaxAbsValue,
 		Sign: cls.Sign, Pos: cls.Pos,
 	}
+	legacy := legacyOf(t, onlyPos)
 	sawErr, sawOK := false, false
 	for _, s := range segs {
-		want, legacyErr := legacyClassifySegment(onlyPos, s.Samples)
+		want, legacyErr := legacyClassifySegment(legacy, s.Samples)
 		got, gotErr := classifyOne(onlyPos, s.Samples)
 		if (legacyErr == nil) != (gotErr == nil) {
 			t.Fatalf("error behavior diverged: legacy=%v new=%v", legacyErr, gotErr)
@@ -146,13 +199,8 @@ func TestSegScorerMissingSide(t *testing.T) {
 			continue
 		}
 		sawOK = true
-		if got.Value != want.Value || got.Sign != want.Sign {
-			t.Fatalf("value/sign (%d,%d), want (%d,%d)", got.Value, got.Sign, want.Value, want.Sign)
-		}
-		for v, p := range want.Probs {
-			if math.Float64bits(p) != math.Float64bits(got.Probs[v]) {
-				t.Fatalf("posterior[%d] drifted", v)
-			}
+		if err := matchesLegacy(got, want); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if !sawOK {

@@ -66,6 +66,30 @@ func (f *CholFactor) Lower() *Matrix {
 	return m
 }
 
+// ForwardInto solves L y = b by forward substitution into the
+// caller-owned y, i.e. y = L⁻¹b. This is the whitening transform of the
+// factored covariance m = L Lᵀ: for any u, v the Mahalanobis form
+// (u−v)ᵀ m⁻¹ (u−v) equals ‖L⁻¹u − L⁻¹v‖². y and b must have length n and
+// y may not alias b. The arithmetic is the first half of SolveInto.
+func (f *CholFactor) ForwardInto(y, b []float64) error {
+	n := f.n
+	if len(b) != n {
+		return fmt.Errorf("linalg: rhs length %d, want %d", len(b), n)
+	}
+	if len(y) != n {
+		return fmt.Errorf("linalg: forward buffer %d, want %d", len(y), n)
+	}
+	for i := 0; i < n; i++ {
+		s := b[i]
+		row := f.lower[i*n : i*n+i]
+		for k, v := range row {
+			s -= v * y[k]
+		}
+		y[i] = s / f.diag[i]
+	}
+	return nil
+}
+
 // SolveInto solves m x = b into caller-owned buffers: x receives the
 // solution, y is forward-substitution scratch. x, y and b must all have
 // length n (x and y may not alias b). No allocation happens on this path,
@@ -79,14 +103,7 @@ func (f *CholFactor) SolveInto(x, y, b []float64) error {
 		return fmt.Errorf("linalg: solve buffers %d/%d, want %d", len(x), len(y), n)
 	}
 	// Forward substitution L y = b.
-	for i := 0; i < n; i++ {
-		s := b[i]
-		row := f.lower[i*n : i*n+i]
-		for k, v := range row {
-			s -= v * y[k]
-		}
-		y[i] = s / f.diag[i]
-	}
+	_ = f.ForwardInto(y, b) // shapes checked above: cannot fail
 	// Back substitution L^T x = y, reading L^T rows sequentially.
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]

@@ -223,3 +223,60 @@ func TestMulBlockedMatchesNaive(t *testing.T) {
 		}
 	}
 }
+
+// TestCholFactorForwardInto: ForwardInto is the forward half of SolveInto
+// bit for bit, and whitening preserves the Mahalanobis form:
+// (u−v)ᵀ m⁻¹ (u−v) = ‖L⁻¹u − L⁻¹v‖².
+func TestCholFactorForwardInto(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 12, 28} {
+		m := seededSPD(n, uint64(n)*31)
+		f, err := NewCholFactor(m)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		u, v := seededVec(n, uint64(n)+1), seededVec(n, uint64(n)+2)
+		x, y, w := make([]float64, n), make([]float64, n), make([]float64, n)
+		if err := f.SolveInto(x, y, u); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.ForwardInto(w, u); err != nil {
+			t.Fatal(err)
+		}
+		for i := range y {
+			if math.Float64bits(w[i]) != math.Float64bits(y[i]) {
+				t.Fatalf("n=%d: ForwardInto[%d] = %v, SolveInto forward half %v", n, i, w[i], y[i])
+			}
+		}
+		d := make([]float64, n)
+		for i := range d {
+			d[i] = u[i] - v[i]
+		}
+		md, err := f.Solve(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Dot(d, md)
+		wv := make([]float64, n)
+		if err := f.ForwardInto(wv, v); err != nil {
+			t.Fatal(err)
+		}
+		got := 0.0
+		for i := range w {
+			e := w[i] - wv[i]
+			got += e * e
+		}
+		if math.Abs(got-want) > 1e-12*math.Max(1, math.Abs(want)) {
+			t.Fatalf("n=%d: whitened distance %v, Mahalanobis %v", n, got, want)
+		}
+	}
+	f, err := NewCholFactor(seededSPD(4, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.ForwardInto(make([]float64, 4), make([]float64, 5)); err == nil {
+		t.Fatal("want rhs length error")
+	}
+	if err := f.ForwardInto(make([]float64, 3), make([]float64, 4)); err == nil {
+		t.Fatal("want buffer length error")
+	}
+}

@@ -3,9 +3,15 @@ package sca_test
 // FuzzTemplateScore: template scoring on adversarial traces — arbitrary
 // float patterns including NaN, ±Inf and huge magnitudes — must never
 // panic, and for plausibly-scaled finite inputs must return a normalized
-// posterior over exactly the trained labels.
+// posterior over exactly the trained labels that agrees with the
+// per-class-solve reference within testkit.OracleTol.
+//
+// FuzzReadTemplates: the template decoder must never panic or allocate
+// beyond the bytes present, and whatever it accepts must re-encode to the
+// exact bytes it consumed.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"sync"
@@ -19,18 +25,27 @@ import (
 var fuzzTemplates struct {
 	once sync.Once
 	tpl  *sca.Templates
+	ref  *testkit.RefTemplates
 	err  error
 }
 
-func fuzzTpl() (*sca.Templates, error) {
+func fuzzTpl() (*sca.Templates, *testkit.RefTemplates, error) {
 	fuzzTemplates.once.Do(func() {
 		r := testkit.NewRNG(71)
 		set := synthSet(r, 30, 40)
 		opts := sca.DefaultTemplateOptions()
 		opts.POICount = 8
-		fuzzTemplates.tpl, fuzzTemplates.err = sca.BuildTemplates(set, opts)
+		ft := &fuzzTemplates
+		if ft.tpl, ft.err = sca.BuildTemplates(set, opts); ft.err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if ft.err = sca.WriteTemplates(&buf, ft.tpl); ft.err != nil {
+			return
+		}
+		ft.ref, ft.err = testkit.DecodeRefTemplates(buf.Bytes())
 	})
-	return fuzzTemplates.tpl, fuzzTemplates.err
+	return fuzzTemplates.tpl, fuzzTemplates.ref, fuzzTemplates.err
 }
 
 // samplesFromBytes reinterprets fuzz bytes as float64 samples, padded to
@@ -59,12 +74,12 @@ func FuzzTemplateScore(f *testing.F) {
 	f.Add(mk())
 	f.Add([]byte{1, 2, 3}) // not even one float
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tpl, err := fuzzTpl()
+		tpl, ref, err := fuzzTpl()
 		if err != nil {
 			t.Fatal(err)
 		}
 		tr := samplesFromBytes(data, 40)
-		probs, err := tpl.Probabilities(tr)
+		probs, err := posterior(tpl, tr)
 		if err != nil {
 			return
 		}
@@ -93,10 +108,69 @@ func FuzzTemplateScore(f *testing.F) {
 		if math.Abs(sum-1) > 1e-6 {
 			t.Fatalf("posterior sums to %v for finite input", sum)
 		}
-		// Classify must agree with the posterior argmax's existence (no
-		// error once Probabilities succeeded).
-		if _, err := tpl.Classify(tr); err != nil {
-			t.Fatalf("Classify failed after Probabilities succeeded: %v", err)
+		// The whitened scores agree with the per-class-solve reference.
+		s := tpl.NewScorer()
+		ll, err := s.ScoreTrace(tr)
+		if err != nil {
+			t.Fatalf("ScoreTrace failed after the posterior succeeded: %v", err)
+		}
+		want, err := ref.LogLikelihoods(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := testkit.CheckScores(ll, want); err != nil {
+			t.Fatalf("scorer vs reference: %v", err)
+		}
+	})
+}
+
+// templateStreamSize is the byte length of a v2 stream with the given
+// header: magic and four header words, the POIs, then per class a label,
+// a count, the mean, the factor, the inverse and the log-determinant.
+func templateStreamSize(d, classes int) int {
+	return 4 + 16 + 4*d + classes*(8+8*d+16*d*d+8)
+}
+
+func FuzzReadTemplates(f *testing.F) {
+	// Seeds stay small: the fuzzer minimizes every new input it finds, at
+	// a cost that grows with the input's length.
+	tiny, err := sca.BuildTemplatesAtPOIs(synthSet(testkit.NewRNG(72), 10, 8), []int{1, 4}, sca.DefaultTemplateOptions())
+	if err != nil {
+		f.Fatal(err)
+	}
+	var blob bytes.Buffer
+	if err := sca.WriteTemplates(&blob, tiny); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob.Bytes())
+	header := func(version, pooled, d, classes uint32, body int) []byte {
+		out := []byte("SCTM")
+		for _, v := range []uint32{version, pooled, d, classes} {
+			out = binary.LittleEndian.AppendUint32(out, v)
+		}
+		return append(out, make([]byte, body)...)
+	}
+	f.Add(header(2, 1, 4096, 4096, 20)) // lying header, tiny body
+	f.Add(header(2, 1, 64, 1, 4*64+64)) // POIs present, factor missing
+	f.Add(header(2, 0, 2, 2, 200))      // per-class covariance
+	f.Add(header(1, 1, 2, 2, 0))        // stale version
+	f.Add([]byte("SCTM"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tpl, err := sca.ReadTemplates(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := sca.WriteTemplates(&buf, tpl); err != nil {
+			t.Fatalf("re-encoding accepted templates: %v", err)
+		}
+		n := templateStreamSize(len(tpl.POIs), len(tpl.Labels()))
+		if n > len(data) || !bytes.Equal(buf.Bytes(), data[:n]) {
+			t.Fatalf("accepted %d-byte stream re-encodes to %d different bytes", len(data), buf.Len())
+		}
+		s := tpl.NewScorer()
+		if _, err := s.ScoreVector(make([]float64, len(tpl.POIs))); err != nil {
+			t.Fatalf("scoring accepted templates: %v", err)
 		}
 	})
 }

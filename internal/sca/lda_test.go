@@ -47,7 +47,7 @@ func TestFitLDASeparatesClasses(t *testing.T) {
 	}
 	conf := NewConfusion()
 	for i, tr := range testProj.Traces {
-		pred, err := tmpl.Classify(tr)
+		pred, err := classify(tmpl, tr)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,6 +42,22 @@ func buildSynthTemplates(t *testing.T, r *testkit.RNG) *sca.Templates {
 	return tpl
 }
 
+// posterior scores tr and returns its softmax posterior keyed by label.
+func posterior(tpl *sca.Templates, tr trace.Trace) (map[int]float64, error) {
+	s := tpl.NewScorer()
+	ll, err := s.ScoreTrace(tr)
+	if err != nil {
+		return nil, err
+	}
+	p := make([]float64, s.Classes())
+	s.PosteriorValues(ll, p)
+	out := make(map[int]float64, len(p))
+	for ci, v := range p {
+		out[s.Label(ci)] = v
+	}
+	return out, nil
+}
+
 func TestProbabilitiesNormalized(t *testing.T) {
 	r := testkit.NewRNG(61)
 	tpl := buildSynthTemplates(t, r)
@@ -51,7 +67,7 @@ func TestProbabilitiesNormalized(t *testing.T) {
 		for i := range tr {
 			tr[i] = 4 * (r.Float64() - 0.5) // arbitrary, not class-shaped
 		}
-		probs, err := tpl.Probabilities(tr)
+		probs, err := posterior(tpl, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,12 +101,12 @@ func TestProbabilitiesBitwiseDeterministic(t *testing.T) {
 	for i := range tr {
 		tr[i] = 2 * (r.Float64() - 0.5)
 	}
-	first, err := tpl.Probabilities(tr)
+	first, err := posterior(tpl, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for rep := 0; rep < 20; rep++ {
-		again, err := tpl.Probabilities(tr)
+		again, err := posterior(tpl, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,10 +127,12 @@ func TestClassifyRecoversClassShape(t *testing.T) {
 		for i := range tr {
 			tr[i] = float64(label) * math.Sin(float64(i)/3)
 		}
-		got, err := tpl.Classify(tr)
+		s := tpl.NewScorer()
+		ll, err := s.ScoreTrace(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := s.ArgMaxLabel(ll)
 		if got != label {
 			t.Errorf("noiseless class-%d trace classified as %d", label, got)
 		}

@@ -113,7 +113,7 @@ func TestTemplateClassification(t *testing.T) {
 	test := synthSet(4, labels, 20, 16, 0.05)
 	conf := NewConfusion()
 	for i, tr := range test.Traces {
-		pred, err := tmpl.Classify(tr)
+		pred, err := classify(tmpl, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,10 +131,13 @@ func TestTemplateProbabilitiesSumToOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	test := synthSet(6, []int{1}, 1, 12, 0.1)
-	probs, err := tmpl.Probabilities(test.Traces[0])
+	s := tmpl.NewScorer()
+	ll, err := s.ScoreTrace(test.Traces[0])
 	if err != nil {
 		t.Fatal(err)
 	}
+	probs := make([]float64, s.Classes())
+	s.PosteriorValues(ll, probs)
 	sum := 0.0
 	for _, p := range probs {
 		if p < 0 || p > 1 {
@@ -145,32 +148,11 @@ func TestTemplateProbabilitiesSumToOne(t *testing.T) {
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("probabilities sum to %v", sum)
 	}
-	if best, _ := tmpl.Classify(test.Traces[0]); probs[best] < probs[0]-1e-12 {
-		t.Error("classified label should have max probability")
-	}
-}
-
-func TestPerClassCovariance(t *testing.T) {
-	opts := DefaultTemplateOptions()
-	opts.Pooled = false
-	train := synthSet(7, []int{0, 3}, 80, 12, 0.1)
-	tmpl, err := BuildTemplates(train, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	test := synthSet(8, []int{0, 3}, 10, 12, 0.1)
-	correct := 0
-	for i, tr := range test.Traces {
-		pred, err := tmpl.Classify(tr)
-		if err != nil {
-			t.Fatal(err)
+	best := s.ArgMaxLabel(ll)
+	for ci, p := range probs {
+		if s.Label(ci) == best && p < probs[0]-1e-12 {
+			t.Error("classified label should have max probability")
 		}
-		if pred == test.Labels[i] {
-			correct++
-		}
-	}
-	if correct < 18 {
-		t.Errorf("per-class covariance classified %d/20", correct)
 	}
 }
 
@@ -206,7 +188,7 @@ func TestClassifyShortTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tmpl.Classify(trace.Trace{1, 2}); err == nil {
+	if _, err := classify(tmpl, trace.Trace{1, 2}); err == nil {
 		t.Error("trace shorter than POI range should fail")
 	}
 }
@@ -283,7 +265,7 @@ func BenchmarkClassify(b *testing.B) {
 	tr := train.Traces[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tmpl.Classify(tr); err != nil {
+		if _, err := classify(tmpl, tr); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -314,29 +296,22 @@ func TestTemplatesSerializationRoundTrip(t *testing.T) {
 		}
 	}
 	test := synthSet(41, []int{-2, 0, 3}, 5, 16, 0.05)
+	sa, sb := tmpl.NewScorer(), got.NewScorer()
 	for _, tr := range test.Traces {
-		a, err := tmpl.Classify(tr)
+		la, err := sa.ScoreTrace(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := got.Classify(tr)
+		lb, err := sb.ScoreTrace(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a != b {
+		if a, b := sa.ArgMaxLabel(la), sb.ArgMaxLabel(lb); a != b {
 			t.Fatalf("deserialized templates classify differently: %d vs %d", a, b)
 		}
-		la, err := tmpl.LogLikelihoods(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lb, err := got.LogLikelihoods(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for l := range la {
-			if math.Abs(la[l]-lb[l]) > 1e-12 {
-				t.Fatalf("likelihood drift for label %d", l)
+		for ci := range la {
+			if math.Abs(la[ci]-lb[ci]) > 1e-12 {
+				t.Fatalf("likelihood drift for class %d", ci)
 			}
 		}
 	}

@@ -4,27 +4,25 @@ import (
 	"fmt"
 	"math"
 
-	"reveal/internal/linalg"
 	"reveal/internal/trace"
 )
 
-// Scorer is a reusable scoring context over one trained template set: all
-// scratch buffers (POI feature vector, residual, triangular-solve
-// workspace, per-class scores) are allocated once and reused across every
-// scored sub-trace, eliminating the per-classification allocations of the
-// map-based Templates API. One Scorer serves one goroutine; create one per
-// worker for parallel classification.
+// Scorer is a reusable scoring context over one trained template set: the
+// POI feature vector, the whitened features and the per-class scores are
+// allocated once and reused across every scored sub-trace. One Scorer
+// serves one goroutine; create one per worker for parallel classification.
 //
-// Every score is computed with exactly the floating-point operations of
-// Templates.LogLikelihoods in the same order, so classifications and
-// posteriors derived from a Scorer are bitwise identical to the per-vector
-// path — the property the replay-determinism selftest enforces.
+// Scoring whitens once: with the pooled covariance Σ = L·Lᵀ, the
+// Mahalanobis distance of features f to class mean μ_c is
+// (f−μ_c)ᵀ Σ⁻¹ (f−μ_c) = ‖L⁻¹f − L⁻¹μ_c‖². The whitened means L⁻¹μ_c are
+// precomputed on Templates, so a trace costs one forward substitution
+// y = L⁻¹f plus one squared distance per class, instead of a full
+// forward-and-back solve per class. The arithmetic is a fixed sequence of
+// operations, so the same trace always yields the same bits.
 type Scorer struct {
 	t        *Templates
 	logTwoPi float64 // d·log(2π), shared additive constant of every score
-	f        []float64
-	resid    []float64
-	y, x     []float64
+	f, y     []float64
 	ll       []float64
 }
 
@@ -35,15 +33,10 @@ func (t *Templates) NewScorer() *Scorer {
 		t:        t,
 		logTwoPi: float64(d) * math.Log(2*math.Pi),
 		f:        make([]float64, d),
-		resid:    make([]float64, d),
 		y:        make([]float64, d),
-		x:        make([]float64, d),
 		ll:       make([]float64, len(t.classes)),
 	}
 }
-
-// Templates returns the template set this scorer was built for.
-func (s *Scorer) Templates() *Templates { return s.t }
 
 // Classes returns the number of trained classes.
 func (s *Scorer) Classes() int { return len(s.t.classes) }
@@ -72,25 +65,24 @@ func (s *Scorer) ScoreVector(f []float64) ([]float64, error) {
 	if len(f) != len(s.t.POIs) {
 		return nil, fmt.Errorf("sca: feature vector of %d entries, want %d", len(f), len(s.t.POIs))
 	}
+	if err := s.t.fact.ForwardInto(s.y, f); err != nil {
+		return nil, err
+	}
 	for ci := range s.t.classes {
-		c := &s.t.classes[ci]
-		for i := range f {
-			s.resid[i] = f[i] - c.mean[i]
+		w := s.t.classes[ci].white
+		dist := 0.0
+		for i, v := range s.y {
+			e := v - w[i]
+			dist += e * e
 		}
-		// Mahalanobis distance via the cached Cholesky solve (bitwise
-		// identical to factoring fresh; see linalg.CholFactor).
-		if err := c.fact.SolveInto(s.x, s.y, s.resid); err != nil {
-			return nil, err
-		}
-		mahal := linalg.Dot(s.resid, s.x)
-		s.ll[ci] = -0.5 * (mahal + c.logDet + s.logTwoPi)
+		s.ll[ci] = -0.5 * (dist + s.t.logDet + s.logTwoPi)
 	}
 	return s.ll, nil
 }
 
-// ArgMaxLabel returns the label of the highest score, replicating
-// Templates.Classify's deterministic tie and NaN handling (first strict
-// maximum in ascending class order).
+// ArgMaxLabel returns the label of the highest score: the first strict
+// maximum in ascending class order, so ties and NaN scores resolve
+// deterministically.
 func (s *Scorer) ArgMaxLabel(ll []float64) int {
 	best, bestLL := 0, math.Inf(-1)
 	first := true
@@ -104,32 +96,10 @@ func (s *Scorer) ArgMaxLabel(ll []float64) int {
 	return best
 }
 
-// PosteriorInto converts scores into a softmax posterior keyed by label,
-// writing into dst (which should be empty), replicating
-// Templates.Probabilities' accumulation order exactly: the normalizing sum
-// runs in ascending class order, never map order.
-func (s *Scorer) PosteriorInto(ll []float64, dst map[int]float64) {
-	max := math.Inf(-1)
-	for _, v := range ll {
-		if v > max {
-			max = v
-		}
-	}
-	sum := 0.0
-	for ci := range s.t.classes {
-		e := math.Exp(ll[ci] - max)
-		dst[s.t.classes[ci].label] = e
-		sum += e
-	}
-	for l := range dst {
-		dst[l] /= sum
-	}
-}
-
-// PosteriorValues converts scores into a softmax posterior written into a
-// per-class slice (dst[ci] = P(class ci), ascending label order), with the
-// exact arithmetic of PosteriorInto — max-shifted exp and a normalizing sum
-// accumulated in class order — but no map. dst must have len(ll) entries.
+// PosteriorValues converts scores into a softmax posterior (uniform prior)
+// written into a per-class slice: dst[ci] = P(class ci), ascending label
+// order. The exp is max-shifted and the normalizing sum accumulates in
+// class order. dst must have len(ll) entries.
 func (s *Scorer) PosteriorValues(ll, dst []float64) {
 	max := math.Inf(-1)
 	for _, v := range ll {
@@ -146,43 +116,4 @@ func (s *Scorer) PosteriorValues(ll, dst []float64) {
 	for ci := range dst {
 		dst[ci] /= sum
 	}
-}
-
-// Posteriors converts scores into a freshly allocated posterior map.
-func (s *Scorer) Posteriors(ll []float64) map[int]float64 {
-	out := make(map[int]float64, len(ll))
-	s.PosteriorInto(ll, out)
-	return out
-}
-
-// ScoreBatch scores every trace of a sub-trace set in one pass over the
-// pooled scratch buffers, returning an n×classes row-major score matrix
-// (row i holds the per-class log-likelihoods of trs[i] in ascending label
-// order). Only the result matrix is allocated.
-func (s *Scorer) ScoreBatch(trs []trace.Trace) (*linalg.Matrix, error) {
-	out := linalg.NewMatrix(len(trs), len(s.t.classes))
-	for i, tr := range trs {
-		ll, err := s.ScoreTrace(tr)
-		if err != nil {
-			return nil, fmt.Errorf("sca: scoring trace %d: %w", i, err)
-		}
-		copy(out.Data[i*out.Cols:(i+1)*out.Cols], ll)
-	}
-	return out, nil
-}
-
-// ClassifyBatch classifies every trace of a sub-trace set through one
-// reusable scoring context — the allocation-free equivalent of calling
-// Classify in a loop, with bitwise-identical results.
-func (t *Templates) ClassifyBatch(trs []trace.Trace) ([]int, error) {
-	s := t.NewScorer()
-	out := make([]int, len(trs))
-	for i, tr := range trs {
-		ll, err := s.ScoreTrace(tr)
-		if err != nil {
-			return nil, fmt.Errorf("sca: classifying trace %d: %w", i, err)
-		}
-		out[i] = s.ArgMaxLabel(ll)
-	}
-	return out, nil
 }

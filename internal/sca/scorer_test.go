@@ -4,58 +4,73 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 
 	"reveal/internal/linalg"
+	"reveal/internal/testkit"
 	"reveal/internal/trace"
 )
 
-// referenceLogLikelihoods replicates the pre-scorer per-call arithmetic —
-// fresh residual allocation, linalg.SolveCholesky on the stored factor —
-// as the bitwise ground truth the Scorer must match.
-func referenceLogLikelihoods(t *Templates, tr trace.Trace) (map[int]float64, error) {
-	f := Extract(tr, t.POIs)
-	out := make(map[int]float64, len(t.classes))
-	d := float64(len(t.POIs))
-	resid := make([]float64, len(f))
-	for _, c := range t.classes {
-		for i := range f {
-			resid[i] = f[i] - c.mean[i]
-		}
-		x, err := linalg.SolveCholesky(c.chol, resid)
-		if err != nil {
-			return nil, err
-		}
-		mahal := linalg.Dot(resid, x)
-		out[c.label] = -0.5 * (mahal + c.logDet + d*math.Log(2*math.Pi))
+// classify returns the maximum-likelihood label of tr.
+func classify(tmpl *Templates, tr trace.Trace) (int, error) {
+	s := tmpl.NewScorer()
+	ll, err := s.ScoreTrace(tr)
+	if err != nil {
+		return 0, err
 	}
-	return out, nil
+	return s.ArgMaxLabel(ll), nil
 }
 
-func trainedScorerFixture(t *testing.T, pooled bool) (*Templates, *trace.Set) {
+// referenceOf decodes the serialized template set into the per-class-solve
+// reference of internal/testkit: the scorer's math before whitening.
+func referenceOf(t testing.TB, tmpl *Templates) *testkit.RefTemplates {
 	t.Helper()
-	train := synthSet(7, []int{-3, -1, 0, 2, 5}, 60, 24, 0.08)
+	var buf bytes.Buffer
+	if err := WriteTemplates(&buf, tmpl); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := testkit.DecodeRefTemplates(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
+// trainedScorerFixture trains d-POI templates over five classes and returns
+// them with fresh attack traces of the same shape.
+func trainedScorerFixture(t testing.TB, d int) (*Templates, *trace.Set) {
+	t.Helper()
+	labels := []int{-3, -1, 0, 2, 5}
+	train := synthSet(7, labels, 60, 96, 0.08)
 	opts := DefaultTemplateOptions()
-	opts.Pooled = pooled
+	opts.POICount = d
 	tmpl, err := BuildTemplates(train, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	test := synthSet(99, []int{-3, -1, 0, 2, 5}, 8, 24, 0.08)
-	return tmpl, test
+	if len(tmpl.POIs) != d {
+		t.Fatalf("trained %d POIs, want %d", len(tmpl.POIs), d)
+	}
+	return tmpl, synthSet(99, labels, 8, 96, 0.08)
 }
 
-// TestScorerBitwiseIdenticalToReference: log-likelihoods, classifications
-// and posteriors from the reusable Scorer must equal the historical
-// per-call path to the last bit, for pooled and per-class covariances.
-func TestScorerBitwiseIdenticalToReference(t *testing.T) {
-	for _, pooled := range []bool{true, false} {
-		tmpl, test := trainedScorerFixture(t, pooled)
+// TestScorerMatchesReference: the whitened scorer agrees with the
+// per-class-solve reference within testkit.OracleTol — every
+// log-likelihood, every posterior, and the argmax — on 12- and 28-POI
+// templates.
+func TestScorerMatchesReference(t *testing.T) {
+	for _, d := range []int{12, 28} {
+		tmpl, test := trainedScorerFixture(t, d)
+		ref := referenceOf(t, tmpl)
 		s := tmpl.NewScorer()
+		post := make([]float64, s.Classes())
 		for i, tr := range test.Traces {
-			want, err := referenceLogLikelihoods(tmpl, tr)
+			want, err := ref.LogLikelihoods(tr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,106 +78,33 @@ func TestScorerBitwiseIdenticalToReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := tmpl.LogLikelihoods(tr)
+			if err := testkit.CheckScores(ll, want); err != nil {
+				t.Fatalf("d=%d trace %d: %v", d, i, err)
+			}
+			wantPost, err := ref.Probabilities(tr)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for ci := range tmpl.classes {
-				l := tmpl.classes[ci].label
-				if math.Float64bits(want[l]) != math.Float64bits(ll[ci]) {
-					t.Fatalf("pooled=%v trace %d: scorer ll[%d] = %x, want %x",
-						pooled, i, l, math.Float64bits(ll[ci]), math.Float64bits(want[l]))
-				}
-				if math.Float64bits(want[l]) != math.Float64bits(got[l]) {
-					t.Fatalf("pooled=%v trace %d: LogLikelihoods[%d] drifted", pooled, i, l)
+			s.PosteriorValues(ll, post)
+			for ci, p := range post {
+				if dp := math.Abs(p - wantPost[s.Label(ci)]); dp > testkit.OracleTol {
+					t.Fatalf("d=%d trace %d: posterior[%d] off by %g", d, i, s.Label(ci), dp)
 				}
 			}
-			// Posterior: same exp/normalize order as the historical softmax.
-			wantPost := make(map[int]float64, len(want))
-			max := math.Inf(-1)
-			for _, v := range want {
-				if v > max {
-					max = v
-				}
-			}
-			sum := 0.0
-			for _, c := range tmpl.classes {
-				e := math.Exp(want[c.label] - max)
-				wantPost[c.label] = e
-				sum += e
-			}
-			for l := range wantPost {
-				wantPost[l] /= sum
-			}
-			gotPost, err := tmpl.Probabilities(tr)
+			wantBest, err := ref.Classify(tr)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for l, v := range wantPost {
-				if math.Float64bits(v) != math.Float64bits(gotPost[l]) {
-					t.Fatalf("pooled=%v trace %d: posterior[%d] = %x, want %x",
-						pooled, i, l, math.Float64bits(gotPost[l]), math.Float64bits(v))
-				}
+			if got := s.ArgMaxLabel(ll); got != wantBest {
+				t.Fatalf("d=%d trace %d: argmax %d, reference %d", d, i, got, wantBest)
 			}
-			// Classification: first strict maximum in ascending class order.
-			wantBest, wantLL := 0, math.Inf(-1)
-			first := true
-			for _, c := range tmpl.classes {
-				if v := want[c.label]; first || v > wantLL {
-					wantBest, wantLL = c.label, v
-					first = false
-				}
-			}
-			gotBest, err := tmpl.Classify(tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotBest != wantBest {
-				t.Fatalf("pooled=%v trace %d: Classify = %d, want %d", pooled, i, gotBest, wantBest)
-			}
-		}
-	}
-}
-
-// TestScoreBatchMatchesPerTrace: the batch path is the per-trace path.
-func TestScoreBatchMatchesPerTrace(t *testing.T) {
-	tmpl, test := trainedScorerFixture(t, true)
-	s := tmpl.NewScorer()
-	batch, err := s.ScoreBatch(test.Traces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batch.Rows != len(test.Traces) || batch.Cols != s.Classes() {
-		t.Fatalf("batch shape %dx%d, want %dx%d", batch.Rows, batch.Cols, len(test.Traces), s.Classes())
-	}
-	labels, err := tmpl.ClassifyBatch(test.Traces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, tr := range test.Traces {
-		ll, err := s.ScoreTrace(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for ci := range ll {
-			if math.Float64bits(ll[ci]) != math.Float64bits(batch.At(i, ci)) {
-				t.Fatalf("trace %d class %d: batch score %x, want %x", i, ci,
-					math.Float64bits(batch.At(i, ci)), math.Float64bits(ll[ci]))
-			}
-		}
-		want, err := tmpl.Classify(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if labels[i] != want {
-			t.Fatalf("trace %d: ClassifyBatch = %d, want %d", i, labels[i], want)
 		}
 	}
 }
 
 // TestScorerErrors covers the shape guards.
 func TestScorerErrors(t *testing.T) {
-	tmpl, _ := trainedScorerFixture(t, true)
+	tmpl, _ := trainedScorerFixture(t, 12)
 	s := tmpl.NewScorer()
 	if _, err := s.ScoreTrace(make(trace.Trace, 2)); err == nil {
 		t.Error("short trace should fail")
@@ -170,63 +112,48 @@ func TestScorerErrors(t *testing.T) {
 	if _, err := s.ScoreVector(make([]float64, 1)); err == nil {
 		t.Error("wrong feature width should fail")
 	}
-	if _, err := s.ScoreBatch([]trace.Trace{make(trace.Trace, 1)}); err == nil {
-		t.Error("batch with short trace should fail")
-	}
-	if _, err := tmpl.ClassifyBatch([]trace.Trace{make(trace.Trace, 1)}); err == nil {
-		t.Error("classify batch with short trace should fail")
-	}
 }
 
-// TestTemplatesPrecomputedStructures: training must leave a usable inverse
-// covariance and log-determinant on every class, and the pooled covariance
-// must share one inverse across classes.
+// TestTemplatesPrecomputedStructures: training leaves the pooled inverse
+// covariance, log-determinant and whitened means consistent with the
+// stored Cholesky factor.
 func TestTemplatesPrecomputedStructures(t *testing.T) {
-	tmpl, _ := trainedScorerFixture(t, true)
-	labels := tmpl.Labels()
-	first := tmpl.InverseCovariance(labels[0])
-	if first == nil {
-		t.Fatal("missing inverse covariance")
-	}
+	tmpl, _ := trainedScorerFixture(t, 12)
 	d := len(tmpl.POIs)
-	for _, l := range labels {
-		inv := tmpl.InverseCovariance(l)
-		if inv == nil || inv.Rows != d || inv.Cols != d {
-			t.Fatalf("label %d: bad inverse covariance", l)
-		}
-		if inv != first {
-			t.Fatalf("pooled templates should share one inverse covariance")
-		}
-		if ld := tmpl.ClassLogDet(l); math.IsNaN(ld) || math.IsInf(ld, 0) {
-			t.Fatalf("label %d: bad log-determinant %v", l, ld)
-		}
+	if ld := tmpl.logDet; math.IsNaN(ld) || math.IsInf(ld, 0) || ld != tmpl.fact.LogDet() {
+		t.Fatalf("bad log-determinant %v", ld)
 	}
 	// Σ · Σ⁻¹ ≈ I, with Σ reconstructed from the stored factor.
-	c := tmpl.classes[0]
-	cov, err := c.chol.Mul(c.chol.Transpose())
+	cov, err := tmpl.chol.Mul(tmpl.chol.Transpose())
 	if err != nil {
 		t.Fatal(err)
 	}
-	prod, err := cov.Mul(first)
+	prod, err := cov.Mul(tmpl.invCov)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dmax := linalg.MaxAbsDiff(prod, linalg.Identity(d)); dmax > 1e-8 {
 		t.Fatalf("|Σ·Σ⁻¹ − I| = %g", dmax)
 	}
-	if tmpl.InverseCovariance(12345) != nil {
-		t.Error("unknown label should return nil inverse")
-	}
-	if !math.IsNaN(tmpl.ClassLogDet(12345)) {
-		t.Error("unknown label should return NaN log-det")
+	// L · (L⁻¹μ) ≈ μ for every class.
+	for _, c := range tmpl.classes {
+		back, err := tmpl.chol.MulVec(c.white)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range back {
+			if math.Abs(back[i]-c.mean[i]) > 1e-12*math.Max(1, math.Abs(c.mean[i])) {
+				t.Fatalf("label %d: L·white[%d] = %v, mean %v", c.label, i, back[i], c.mean[i])
+			}
+		}
 	}
 }
 
-// TestSerializationCarriesPrecomputed: a v2 round-trip must preserve the
-// inverse covariance and log-determinant bit for bit and keep scoring
-// bitwise identical.
+// TestSerializationCarriesPrecomputed: a v2 round trip preserves the
+// factor, inverse covariance, log-determinant and whitened means bit for
+// bit, and scoring stays bitwise identical.
 func TestSerializationCarriesPrecomputed(t *testing.T) {
-	tmpl, test := trainedScorerFixture(t, false)
+	tmpl, test := trainedScorerFixture(t, 12)
 	var buf bytes.Buffer
 	if err := WriteTemplates(&buf, tmpl); err != nil {
 		t.Fatal(err)
@@ -235,19 +162,22 @@ func TestSerializationCarriesPrecomputed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, l := range tmpl.Labels() {
-		a, b := tmpl.InverseCovariance(l), back.InverseCovariance(l)
-		if b == nil || a.Rows != b.Rows || a.Cols != b.Cols {
-			t.Fatalf("label %d: inverse covariance lost in round trip", l)
+	sameBits := func(what string, a, b []float64) {
+		t.Helper()
+		if len(a) != len(b) {
+			t.Fatalf("%s: %d entries, want %d", what, len(b), len(a))
 		}
-		for i := range a.Data {
-			if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
-				t.Fatalf("label %d: inverse covariance entry %d drifted", l, i)
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("%s: entry %d drifted", what, i)
 			}
 		}
-		if math.Float64bits(tmpl.ClassLogDet(l)) != math.Float64bits(back.ClassLogDet(l)) {
-			t.Fatalf("label %d: log-determinant drifted", l)
-		}
+	}
+	sameBits("cholesky factor", tmpl.chol.Data, back.chol.Data)
+	sameBits("inverse covariance", tmpl.invCov.Data, back.invCov.Data)
+	sameBits("log-determinant", []float64{tmpl.logDet}, []float64{back.logDet})
+	for ci := range tmpl.classes {
+		sameBits("whitened mean", tmpl.classes[ci].white, back.classes[ci].white)
 	}
 	s1, s2 := tmpl.NewScorer(), back.NewScorer()
 	for i, tr := range test.Traces {
@@ -263,6 +193,52 @@ func TestSerializationCarriesPrecomputed(t *testing.T) {
 			if math.Float64bits(ll1[ci]) != math.Float64bits(ll2[ci]) {
 				t.Fatalf("trace %d: round-tripped score drifted at class %d", i, ci)
 			}
+		}
+	}
+}
+
+// TestTemplateBytesMatchCommittedBlob: testdata/templates_v2.bin was
+// written before scoring switched to whitened means. Training the same
+// fixture must still write exactly those bytes, and the committed blob
+// must load and score within the reference tolerance.
+func TestTemplateBytesMatchCommittedBlob(t *testing.T) {
+	want, err := os.ReadFile("testdata/templates_v2.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultTemplateOptions()
+	opts.POICount = 8
+	tmpl, err := BuildTemplates(synthSet(7, []int{-3, -1, 0, 2, 5}, 60, 24, 0.08), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteTemplates(&buf, tmpl); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("WriteTemplates output (%d bytes) differs from the committed v2 blob (%d bytes)", buf.Len(), len(want))
+	}
+	loaded, err := ReadTemplates(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := testkit.DecodeRefTemplates(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := loaded.NewScorer()
+	for i, tr := range synthSet(99, []int{-3, -1, 0, 2, 5}, 8, 24, 0.08).Traces {
+		wantLL, err := ref.LogLikelihoods(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ll, err := s.ScoreTrace(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := testkit.CheckScores(ll, wantLL); err != nil {
+			t.Fatalf("trace %d: %v", i, err)
 		}
 	}
 }
@@ -294,49 +270,70 @@ func TestStaleTemplateVersionRejected(t *testing.T) {
 	}
 }
 
+// TestReadTemplatesRejectsNonPooled: a per-class covariance stream
+// (pooled = 0) and a pooled stream whose classes disagree on the
+// covariance are refused with named errors.
+func TestReadTemplatesRejectsNonPooled(t *testing.T) {
+	tmpl, _ := trainedScorerFixture(t, 12)
+	var buf bytes.Buffer
+	if err := WriteTemplates(&buf, tmpl); err != nil {
+		t.Fatal(err)
+	}
+	blob := buf.Bytes()
+
+	perClass := append([]byte(nil), blob...)
+	binary.LittleEndian.PutUint32(perClass[8:], 0) // header: magic, version, pooled
+	if _, err := ReadTemplates(bytes.NewReader(perClass)); !errors.Is(err, ErrPerClassCovariance) {
+		t.Fatalf("pooled=0: want ErrPerClassCovariance, got %v", err)
+	}
+
+	// Flip one bit of the second class's Cholesky factor, inverse and
+	// log-determinant in turn.
+	d := len(tmpl.POIs)
+	classBytes := 8 + 8*d + 16*d*d + 8
+	second := 4 + 16 + 4*d + classBytes
+	for _, off := range []int{8 + 8*d, 8 + 8*d + 8*d*d, classBytes - 8} {
+		mixed := append([]byte(nil), blob...)
+		mixed[second+off] ^= 1
+		if _, err := ReadTemplates(bytes.NewReader(mixed)); !errors.Is(err, ErrMixedCovariance) {
+			t.Fatalf("offset %d: want ErrMixedCovariance, got %v", off, err)
+		}
+	}
+}
+
+// TestReadTemplatesBoundedAllocation: a header promising the largest
+// accepted shape (d = 4096, 4096 classes) over a 20-byte body must fail
+// without allocating anywhere near the d² floats it claims.
+func TestReadTemplatesBoundedAllocation(t *testing.T) {
+	var buf bytes.Buffer
+	buf.WriteString(templatesMagic)
+	for _, v := range []uint32{templatesVersion, 1, 4096, 4096} {
+		binary.Write(&buf, binary.LittleEndian, v)
+	}
+	buf.Write(make([]byte, 20))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ReadTemplates(&buf); err == nil {
+		t.Fatal("truncated stream should fail")
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("reading a 40-byte stream allocated %d bytes", grew)
+	}
+}
+
 func BenchmarkScoreTraceScorer(b *testing.B) {
-	train := synthSet(7, []int{-3, -1, 0, 2, 5}, 60, 24, 0.08)
-	tmpl, err := BuildTemplates(train, DefaultTemplateOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr := train.Traces[0]
-	s := tmpl.NewScorer()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.ScoreTrace(tr); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkScoreTraceMapAPI(b *testing.B) {
-	train := synthSet(7, []int{-3, -1, 0, 2, 5}, 60, 24, 0.08)
-	tmpl, err := BuildTemplates(train, DefaultTemplateOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr := train.Traces[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tmpl.LogLikelihoods(tr); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkScoreBatch(b *testing.B) {
-	train := synthSet(7, []int{-3, -1, 0, 2, 5}, 60, 24, 0.08)
-	tmpl, err := BuildTemplates(train, DefaultTemplateOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := tmpl.NewScorer()
-	trs := train.Traces[:64]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.ScoreBatch(trs); err != nil {
-			b.Fatal(err)
-		}
+	for _, d := range []int{12, 28} {
+		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
+			tmpl, test := trainedScorerFixture(b, d)
+			tr := test.Traces[0]
+			s := tmpl.NewScorer()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.ScoreTrace(tr); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -126,7 +126,7 @@ func TestStochasticBeatsTemplatesAtLowProfile(t *testing.T) {
 		if p, err := sm.Classify(tr); err == nil && p == test.Labels[i] {
 			smOK++
 		}
-		if p, err := tm.Classify(tr); err == nil && p == test.Labels[i] {
+		if p, err := classify(tm, tr); err == nil && p == test.Labels[i] {
 			tmOK++
 		}
 	}

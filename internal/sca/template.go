@@ -2,7 +2,6 @@ package sca
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"reveal/internal/linalg"
@@ -18,40 +17,48 @@ type TemplateOptions struct {
 	MinSpacing int
 	// Ridge is added to the covariance diagonal for numerical stability.
 	Ridge float64
-	// Pooled uses one covariance matrix shared by all classes (the usual
-	// practical choice); otherwise each class estimates its own.
-	Pooled bool
 	// Selector chooses the POI score ("sosd" — the paper's method — or
 	// "sost"). Empty means "sosd".
 	Selector string
 }
 
-// DefaultTemplateOptions mirror the paper's setup: SOSD-selected POIs,
-// pooled covariance.
+// DefaultTemplateOptions mirror the paper's setup: SOSD-selected POIs.
 func DefaultTemplateOptions() TemplateOptions {
-	return TemplateOptions{POICount: 12, MinSpacing: 2, Ridge: 1e-6, Pooled: true, Selector: "sosd"}
+	return TemplateOptions{POICount: 12, MinSpacing: 2, Ridge: 1e-6, Selector: "sosd"}
 }
 
-// classTemplate is the per-label multivariate Gaussian. Everything needed
-// to score a sub-trace — the cached triangular-solve structures, the
-// inverse covariance, and the log-determinant — is precomputed once at
-// training time (and carried through serialization), so classification
-// never re-factors or re-inverts a covariance.
+// classTemplate is one label's Gaussian mean. The covariance is pooled:
+// every class shares the factor held by Templates.
 type classTemplate struct {
-	label  int
-	count  int
-	mean   []float64
-	chol   *linalg.Matrix     // Cholesky factor of the covariance
-	fact   *linalg.CholFactor // cached solve structures over chol
-	invCov *linalg.Matrix     // precomputed inverse covariance Σ⁻¹
-	logDet float64
+	label int
+	count int
+	mean  []float64
+	white []float64 // L⁻¹·mean: the mean in whitened coordinates
 }
 
-// Templates is a trained template attack.
+// Templates is a trained template attack: one multivariate Gaussian per
+// label over the POI features, all sharing one pooled covariance Σ = L·Lᵀ.
+// Everything scoring needs is prepared once, at training or load time, so
+// classification never factors, inverts or back-solves anything.
 type Templates struct {
 	POIs    []int
 	classes []classTemplate
-	pooled  bool
+	chol    *linalg.Matrix     // Cholesky factor L of the pooled covariance
+	fact    *linalg.CholFactor // cached solve structures over chol
+	invCov  *linalg.Matrix     // Σ⁻¹, kept because the v2 format stores it
+	logDet  float64            // log det Σ
+}
+
+// whiten prepares the scoring structures over the shared factor: the
+// cached solver and every class mean in whitened coordinates, L⁻¹·μ.
+func (t *Templates) whiten() {
+	t.fact = linalg.CholFactorOf(t.chol)
+	for ci := range t.classes {
+		c := &t.classes[ci]
+		c.white = make([]float64, len(c.mean))
+		// Every mean has the factor's dimension: cannot fail.
+		_ = t.fact.ForwardInto(c.white, c.mean)
+	}
 }
 
 // BuildTemplates trains templates from a labeled profiling set (the
@@ -115,8 +122,8 @@ func BuildTemplatesAtPOIs(set *trace.Set, pois []int, opts TemplateOptions) (*Te
 	}
 
 	// Per-class means, over one reusable feature buffer.
+	t := &Templates{POIs: append([]int(nil), pois...)}
 	f := make([]float64, d)
-	means := map[int][]float64{}
 	for _, l := range labels {
 		mean := make([]float64, d)
 		for _, idx := range groups[l] {
@@ -128,20 +135,20 @@ func BuildTemplatesAtPOIs(set *trace.Set, pois []int, opts TemplateOptions) (*Te
 		for i := range mean {
 			mean[i] /= float64(len(groups[l]))
 		}
-		means[l] = mean
+		t.classes = append(t.classes, classTemplate{label: l, count: len(groups[l]), mean: mean})
 	}
 
-	// Covariances: pooled or per class. The scatter update works on row
-	// slices with the centered features computed once per trace — the same
-	// f[j]−mean[j] and di·diff[j] operations, in the same order, as the
-	// historical element-wise At/Set loop.
-	newCov := func() *linalg.Matrix { return linalg.NewMatrix(d, d) }
+	// Pooled covariance. The scatter update works on row slices with the
+	// centered features computed once per trace — the same f[j]−mean[j] and
+	// di·diff[j] operations, in the same order, as the historical
+	// element-wise At/Set loop.
+	cov := linalg.NewMatrix(d, d)
 	diff := make([]float64, d)
-	accumulate := func(cov *linalg.Matrix, idxs []int, mean []float64) int {
-		for _, idx := range idxs {
+	for _, c := range t.classes {
+		for _, idx := range groups[c.label] {
 			ExtractInto(f, set.Traces[idx], pois)
 			for j := 0; j < d; j++ {
-				diff[j] = f[j] - mean[j]
+				diff[j] = f[j] - c.mean[j]
 			}
 			for i := 0; i < d; i++ {
 				di := diff[i]
@@ -151,57 +158,15 @@ func BuildTemplatesAtPOIs(set *trace.Set, pois []int, opts TemplateOptions) (*Te
 				}
 			}
 		}
-		return len(idxs)
 	}
-	// finalize turns an accumulated scatter matrix into the scoring
-	// structures: Cholesky factor, cached solver, inverse covariance and
-	// log-determinant — all computed once here, at training time.
-	finalize := func(cov *linalg.Matrix, n int) (*linalg.Matrix, *linalg.CholFactor, *linalg.Matrix, error) {
-		if n < 2 {
-			n = 2
-		}
-		cov = cov.Scale(1 / float64(n-1))
-		linalg.RegularizeSPD(cov, opts.Ridge)
-		chol, err := linalg.Cholesky(cov)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("sca: covariance not PD (add ridge): %w", err)
-		}
-		fact := linalg.CholFactorOf(chol)
-		return chol, fact, fact.Inverse(), nil
+	cov = cov.Scale(1 / float64(set.Len()-1))
+	linalg.RegularizeSPD(cov, opts.Ridge)
+	var err error
+	if t.chol, err = linalg.Cholesky(cov); err != nil {
+		return nil, fmt.Errorf("sca: covariance not PD (add ridge): %w", err)
 	}
-
-	t := &Templates{POIs: append([]int(nil), pois...), pooled: opts.Pooled}
-	if opts.Pooled {
-		cov := newCov()
-		total := 0
-		for _, l := range labels {
-			total += accumulate(cov, groups[l], means[l])
-		}
-		// One covariance shared by every class: factor and invert once.
-		chol, fact, invCov, err := finalize(cov, total)
-		if err != nil {
-			return nil, err
-		}
-		for _, l := range labels {
-			t.classes = append(t.classes, classTemplate{
-				label: l, count: len(groups[l]), mean: means[l],
-				chol: chol, fact: fact, invCov: invCov, logDet: fact.LogDet(),
-			})
-		}
-	} else {
-		for _, l := range labels {
-			cov := newCov()
-			n := accumulate(cov, groups[l], means[l])
-			chol, fact, invCov, err := finalize(cov, n)
-			if err != nil {
-				return nil, fmt.Errorf("sca: class %d: %w", l, err)
-			}
-			t.classes = append(t.classes, classTemplate{
-				label: l, count: n, mean: means[l],
-				chol: chol, fact: fact, invCov: invCov, logDet: fact.LogDet(),
-			})
-		}
-	}
+	t.whiten()
+	t.invCov, t.logDet = t.fact.Inverse(), t.fact.LogDet()
 	return t, nil
 }
 
@@ -212,69 +177,6 @@ func (t *Templates) Labels() []int {
 		out[i] = c.label
 	}
 	return out
-}
-
-// InverseCovariance returns the precomputed inverse covariance Σ⁻¹ of the
-// class with the given label, or nil if the label is unknown. The matrix is
-// shared with the template (and, for pooled templates, across all classes):
-// treat it as read-only.
-func (t *Templates) InverseCovariance(label int) *linalg.Matrix {
-	for i := range t.classes {
-		if t.classes[i].label == label {
-			return t.classes[i].invCov
-		}
-	}
-	return nil
-}
-
-// ClassLogDet returns the precomputed covariance log-determinant of the
-// class with the given label (NaN if the label is unknown).
-func (t *Templates) ClassLogDet(label int) float64 {
-	for i := range t.classes {
-		if t.classes[i].label == label {
-			return t.classes[i].logDet
-		}
-	}
-	return math.NaN()
-}
-
-// LogLikelihoods returns the Gaussian log-density of the trace under each
-// class, keyed by label. It routes through a one-shot Scorer, so the
-// arithmetic — cached-factor Cholesky solve, identical operation order — is
-// exactly what the batch scoring path computes.
-func (t *Templates) LogLikelihoods(tr trace.Trace) (map[int]float64, error) {
-	s := t.NewScorer()
-	ll, err := s.ScoreTrace(tr)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[int]float64, len(t.classes))
-	for ci := range t.classes {
-		out[t.classes[ci].label] = ll[ci]
-	}
-	return out, nil
-}
-
-// Classify returns the maximum-likelihood label.
-func (t *Templates) Classify(tr trace.Trace) (int, error) {
-	s := t.NewScorer()
-	ll, err := s.ScoreTrace(tr)
-	if err != nil {
-		return 0, err
-	}
-	return s.ArgMaxLabel(ll), nil
-}
-
-// Probabilities converts log-likelihoods into a posterior over labels via
-// a numerically-stable softmax (uniform prior), the per-measurement score
-// table that Table II reports and the DBDD hints consume.
-func (t *Templates) Probabilities(tr trace.Trace) (map[int]float64, error) {
-	s := t.NewScorer()
-	ll, err := s.ScoreTrace(tr)
-	if err != nil {
-		return nil, err
-	}
-	return s.Posteriors(ll), nil
 }
 
 // CombineProbabilities multiplies independent posteriors (e.g. the V2 value
