@@ -291,8 +291,14 @@ func TestRecoverMessageWithGroundTruth(t *testing.T) {
 	} else if ternary {
 		t.Error("wrong e2 accepted by the ternary verification")
 	}
-	if _, err := RecoverMessageFromE2(params, pk, ct, bad); err == nil {
-		t.Error("RecoverMessageFromE2 must reject wrong e2")
+	// The residual search must reject it too when it has no alternative.
+	wrong := &AttackResult{Values: make([]int, params.N), Probs: make([]map[int]float64, params.N)}
+	for i, v := range bad {
+		wrong.Values[i] = int(v)
+		wrong.Probs[i] = map[int]float64{int(v): 1}
+	}
+	if got, _, trials, err := RepairAndRecover(params, pk, ct, wrong, 16, 100); err == nil || got != nil || trials != 1 {
+		t.Errorf("RepairAndRecover accepted wrong e2: pt %v, %d trials, err %v", got != nil, trials, err)
 	}
 	if _, _, err := RecoverU(params, pk, ct, bad[:3]); err == nil {
 		t.Error("short e2 should fail")

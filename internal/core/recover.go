@@ -16,79 +16,166 @@ import (
 // sampled from R_2, so a wrong e2 yields a non-ternary u with overwhelming
 // probability).
 func RecoverU(params *bfv.Parameters, pk *bfv.PublicKey, ct *bfv.Ciphertext, e2 []int64) (*ring.Poly, bool, error) {
-	ctx := params.Context()
-	if len(e2) != ctx.N {
-		return nil, false, fmt.Errorf("core: e2 has %d coefficients, want %d", len(e2), ctx.N)
-	}
-	e2Poly := ctx.NewPoly()
-	if err := ctx.SetSigned(e2Poly, e2); err != nil {
+	o, err := newE2Oracle(params, pk, ct)
+	if err != nil {
 		return nil, false, err
 	}
-	// diff = c1 - e2 (coefficient domain).
-	diff := ctx.NewPoly()
-	ctx.Sub(ct.C[1], e2Poly, diff)
+	u, err := o.u(e2)
+	if err != nil {
+		return nil, false, err
+	}
+	return u, isTernary(o.ctx, u), nil
+}
 
-	// Divide by p1 pointwise in the NTT domain.
-	p1 := pk.P1.Clone()
-	ctx.NTT(p1)
-	ctx.NTT(diff)
-	u := ctx.NewPoly()
-	for j, q := range params.Moduli {
-		for i := 0; i < ctx.N; i++ {
-			inv, ok := modular.Inverse(p1.Coeffs[j][i], q)
+// e2Oracle evaluates Eq. 2 for one ciphertext. It inverts p1 once, so
+// RecoverU and every trial of the residual search share one p1^−1.
+type e2Oracle struct {
+	ctx  *ring.Context
+	c1   *ring.Poly
+	w    *ring.Poly // p1^−1, coefficient domain
+	wNTT *ring.Poly // p1^−1, NTT domain
+}
+
+func newE2Oracle(params *bfv.Parameters, pk *bfv.PublicKey, ct *bfv.Ciphertext) (*e2Oracle, error) {
+	ctx := params.Context()
+	wNTT := pk.P1.Clone()
+	ctx.NTT(wNTT)
+	for j, q := range ctx.Moduli {
+		for i, a := range wNTT.Coeffs[j] {
+			inv, ok := modular.Inverse(a, q)
 			if !ok {
-				return nil, false, fmt.Errorf("core: p1 not invertible at slot (%d,%d)", j, i)
+				return nil, fmt.Errorf("core: p1 not invertible at slot (%d,%d)", j, i)
 			}
-			u.Coeffs[j][i] = modular.Mul(diff.Coeffs[j][i], inv, q)
+			wNTT.Coeffs[j][i] = inv
 		}
 	}
-	u.InNTT = true
-	ctx.INTT(u)
+	w := wNTT.Clone()
+	ctx.INTT(w)
+	return &e2Oracle{ctx: ctx, c1: ct.C[1], w: w, wNTT: wNTT}, nil
+}
 
-	return u, isTernary(ctx, u), nil
+// u returns (c1 − e2) · p1^−1 in the coefficient domain.
+func (o *e2Oracle) u(e2 []int64) (*ring.Poly, error) {
+	u := o.ctx.NewPoly()
+	if err := o.ctx.SetSigned(u, e2); err != nil {
+		return nil, fmt.Errorf("core: e2: %w", err)
+	}
+	o.ctx.Sub(o.c1, u, u)
+	o.ctx.NTT(u)
+	o.ctx.MulCoeffwise(u, o.wNTT, u)
+	o.ctx.INTT(u)
+	return u, nil
+}
+
+// subst replaces the e2 guess at coefficient idx with val.
+type subst struct {
+	idx int
+	val int64
+}
+
+// shifted is the u of a guess that differs from a base guess by a few
+// substitutions. u is linear in e2, so changing e2[i] by δ changes u by
+// −δ·X^i·w, and X^i·w is a negacyclic shift of w = p1^−1:
+//
+//	u[k] = u0[k] − Σ_s δ_s·(X^{i_s}·w)[k]
+//
+// Every residue is exact, so any coefficient of u costs |subs| modular
+// products instead of a full ring inversion.
+type shifted struct {
+	o     *e2Oracle
+	u0    *ring.Poly
+	subs  []subst
+	delta [][]uint64 // delta[s][j] = δ_s mod q_j
+}
+
+// set makes s describe base with subs applied, reusing its buffers.
+func (s *shifted) set(base []int64, subs []subst) {
+	s.subs = append(s.subs[:0], subs...)
+	moduli := s.o.ctx.Moduli
+	for len(s.delta) < len(subs) {
+		s.delta = append(s.delta, make([]uint64, len(moduli)))
+	}
+	for t, sb := range subs {
+		for j, q := range moduli {
+			s.delta[t][j] = modular.Sub(modular.FromCentered(sb.val, q), modular.FromCentered(base[sb.idx], q), q)
+		}
+	}
+}
+
+// coeff returns residue j of coefficient k of u.
+func (s *shifted) coeff(j, k int) uint64 {
+	n := s.o.ctx.N
+	q := s.o.ctx.Moduli[j]
+	w := s.o.w.Coeffs[j]
+	v := s.u0.Coeffs[j][k]
+	for t, sb := range s.subs {
+		// (X^i·w)[k] is w[k−i], negated when the shift wraps past X^n = −1.
+		if k >= sb.idx {
+			v = modular.Sub(v, modular.Mul(s.delta[t][j], w[k-sb.idx], q), q)
+		} else {
+			v = modular.Add(v, modular.Mul(s.delta[t][j], w[k-sb.idx+n], q), q)
+		}
+	}
+	return v
+}
+
+// ternary reports whether u is ternary, computing it one coefficient at a
+// time and stopping at the first coefficient that is not. A wrong guess
+// gives a u that is uniform mod q, so this almost always stops at k = 0.
+func (s *shifted) ternary() bool {
+	for k := 0; k < s.o.ctx.N; k++ {
+		if !ternaryCoeff(s.o.ctx.Moduli, func(j int) uint64 { return s.coeff(j, k) }) {
+			return false
+		}
+	}
+	return true
+}
+
+// poly returns the whole u.
+func (s *shifted) poly() *ring.Poly {
+	u := s.o.ctx.NewPoly()
+	for j := range u.Coeffs {
+		for k := range u.Coeffs[j] {
+			u.Coeffs[j][k] = s.coeff(j, k)
+		}
+	}
+	return u
 }
 
 // isTernary reports whether every centered coefficient of p is in {-1,0,1}.
 func isTernary(ctx *ring.Context, p *ring.Poly) bool {
-	q0 := ctx.Moduli[0]
-	for i := 0; i < ctx.N; i++ {
-		c := p.Coeffs[0][i]
-		if c != 0 && c != 1 && c != q0-1 {
+	for k := 0; k < ctx.N; k++ {
+		if !ternaryCoeff(ctx.Moduli, func(j int) uint64 { return p.Coeffs[j][k] }) {
 			return false
 		}
 	}
-	// All residues must agree on the centered value (multi-modulus case).
-	for j := 1; j < len(ctx.Moduli); j++ {
-		qj := ctx.Moduli[j]
-		for i := 0; i < ctx.N; i++ {
-			want := p.Coeffs[0][i]
-			var wantC int64
-			switch want {
-			case 0:
-				wantC = 0
-			case 1:
-				wantC = 1
-			default:
-				wantC = -1
-			}
-			got := p.Coeffs[j][i]
-			switch wantC {
-			case 0:
-				if got != 0 {
-					return false
-				}
-			case 1:
-				if got != 1 {
-					return false
-				}
-			default:
-				if got != qj-1 {
-					return false
-				}
-			}
-		}
-	}
 	return true
+}
+
+// ternaryCoeff reports whether one coefficient, given by its residue mod
+// each modulus, is −1, 0 or 1, with all residues agreeing on which.
+func ternaryCoeff(moduli []uint64, residue func(j int) uint64) bool {
+	c, ok := ternaryResidue(residue(0), moduli[0])
+	for j := 1; ok && j < len(moduli); j++ {
+		var cj int64
+		cj, ok = ternaryResidue(residue(j), moduli[j])
+		ok = ok && cj == c
+	}
+	return ok
+}
+
+// ternaryResidue maps a residue mod q to −1, 0 or 1, and reports false for
+// any other residue.
+func ternaryResidue(r, q uint64) (int64, bool) {
+	switch r {
+	case 0:
+		return 0, true
+	case 1:
+		return 1, true
+	case q - 1:
+		return -1, true
+	}
+	return 0, false
 }
 
 // RecoverMessage completes Eq. 3: with u known, c0 − p0·u = Δ·m + e1, and
@@ -115,19 +202,6 @@ func RecoverMessage(params *bfv.Parameters, pk *bfv.PublicKey, ct *bfv.Ciphertex
 	return pt, nil
 }
 
-// RecoverMessageFromE2 chains RecoverU and RecoverMessage, failing when the
-// ternary verification rejects the e2 candidate.
-func RecoverMessageFromE2(params *bfv.Parameters, pk *bfv.PublicKey, ct *bfv.Ciphertext, e2 []int64) (*bfv.Plaintext, error) {
-	u, ternary, err := RecoverU(params, pk, ct, e2)
-	if err != nil {
-		return nil, err
-	}
-	if !ternary {
-		return nil, fmt.Errorf("core: recovered u is not ternary: e2 candidate rejected")
-	}
-	return RecoverMessage(params, pk, ct, u)
-}
-
 // RepairAndRecover searches the residual space the template attack leaves:
 // coefficients are ranked by posterior confidence and the least certain
 // ones are re-guessed from their probability tables (top-k candidates per
@@ -135,24 +209,47 @@ func RecoverMessageFromE2(params *bfv.Parameters, pk *bfv.PublicKey, ct *bfv.Cip
 // the ternary-u oracle. This plays the role of the paper's BKZ exploration
 // of the remaining search space, using the exact verification available in
 // the single-modulus setting.
+//
+// p1^−1 and the u of the maximum-likelihood guess are computed once; each
+// trial then checks its candidate incrementally (see shifted), and the full
+// u and the message are computed only for the accepted candidate. A
+// malformed attack result or a non-invertible p1 fails before the first
+// trial.
 func RepairAndRecover(params *bfv.Parameters, pk *bfv.PublicKey, ct *bfv.Ciphertext,
 	attack *AttackResult, maxDepth, maxTrials int) (*bfv.Plaintext, []int64, int, error) {
 
-	e2 := make([]int64, len(attack.Values))
+	if len(attack.Probs) != len(attack.Values) {
+		return nil, nil, 0, fmt.Errorf("core: attack result has %d posteriors for %d values", len(attack.Probs), len(attack.Values))
+	}
+	base := make([]int64, len(attack.Values))
 	for i, v := range attack.Values {
-		e2[i] = int64(v)
+		base[i] = int64(v)
 	}
+	o, err := newE2Oracle(params, pk, ct)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	u0, err := o.u(base)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	cand := &shifted{o: o, u0: u0}
 	trials := 0
-	try := func(cand []int64) *bfv.Plaintext {
+	try := func(subs ...subst) bool {
 		trials++
-		pt, err := RecoverMessageFromE2(params, pk, ct, cand)
-		if err != nil {
-			return nil
-		}
-		return pt
+		cand.set(base, subs)
+		return cand.ternary()
 	}
-	if pt := try(e2); pt != nil {
-		return pt, e2, trials, nil
+	accept := func() (*bfv.Plaintext, []int64, int, error) {
+		e2 := append([]int64(nil), base...)
+		for _, sb := range cand.subs {
+			e2[sb.idx] = sb.val
+		}
+		pt, err := RecoverMessage(params, pk, ct, cand.poly())
+		return pt, e2, trials, err
+	}
+	if try() {
+		return accept()
 	}
 
 	// Rank all coordinates by confidence of the chosen value, ascending.
@@ -166,27 +263,14 @@ func RepairAndRecover(params *bfv.Parameters, pk *bfv.PublicKey, ct *bfv.Ciphert
 	}
 	sort.Slice(doubts, func(a, b int) bool { return doubts[a].conf < doubts[b].conf })
 
-	// Alternative candidates per coordinate, by posterior mass.
-	altsFor := func(i int) []int {
-		type cand struct {
-			v int
-			p float64
+	// Alternative candidates per coordinate, by posterior mass, ties by
+	// label: computed once per coordinate, on first use.
+	alts := make([][]int64, len(attack.Values))
+	altsFor := func(i int) []int64 {
+		if alts[i] == nil {
+			alts[i] = topAlternatives(attack.Probs[i], attack.Values[i], 4)
 		}
-		var cs []cand
-		for v, p := range attack.Probs[i] {
-			if v != attack.Values[i] {
-				cs = append(cs, cand{v, p})
-			}
-		}
-		sort.Slice(cs, func(a, b int) bool { return cs[a].p > cs[b].p })
-		if len(cs) > 4 {
-			cs = cs[:4]
-		}
-		out := make([]int, len(cs))
-		for k, c := range cs {
-			out[k] = c.v
-		}
-		return out
+		return alts[i]
 	}
 
 	// Stage 1: single substitutions over every coordinate, least confident
@@ -195,57 +279,66 @@ func RepairAndRecover(params *bfv.Parameters, pk *bfv.PublicKey, ct *bfv.Ciphert
 		if trials >= maxTrials {
 			break
 		}
-		orig := e2[d.idx]
 		for _, alt := range altsFor(d.idx) {
-			e2[d.idx] = int64(alt)
-			if pt := try(e2); pt != nil {
-				return pt, e2, trials, nil
+			if try(subst{d.idx, alt}) {
+				return accept()
 			}
 			if trials >= maxTrials {
 				break
 			}
 		}
-		e2[d.idx] = orig
 	}
 
 	// Stages 2 and 3: pairs and triples within the maxDepth least-confident
 	// coordinates.
-	window := maxDepth
-	if window > len(doubts) {
-		window = len(doubts)
-	}
+	window := min(maxDepth, len(doubts))
 	for a := 0; a < window && trials < maxTrials; a++ {
 		ia := doubts[a].idx
-		origA := e2[ia]
 		for _, altA := range altsFor(ia) {
-			e2[ia] = int64(altA)
 			for b := a + 1; b < window && trials < maxTrials; b++ {
 				ib := doubts[b].idx
-				origB := e2[ib]
 				for _, altB := range altsFor(ib) {
-					e2[ib] = int64(altB)
-					if pt := try(e2); pt != nil {
-						return pt, e2, trials, nil
+					if try(subst{ia, altA}, subst{ib, altB}) {
+						return accept()
 					}
 					// Triple: extend with a third coordinate.
 					for c := b + 1; c < window && trials < maxTrials; c++ {
 						ic := doubts[c].idx
-						origC := e2[ic]
 						for _, altC := range altsFor(ic) {
-							e2[ic] = int64(altC)
-							if pt := try(e2); pt != nil {
-								return pt, e2, trials, nil
+							if try(subst{ia, altA}, subst{ib, altB}, subst{ic, altC}) {
+								return accept()
 							}
 						}
-						e2[ic] = origC
 					}
 				}
-				e2[ib] = origB
 			}
 		}
-		e2[ia] = origA
 	}
 	return nil, nil, trials, fmt.Errorf("core: residual search exhausted after %d trials", trials)
+}
+
+// topAlternatives returns up to k labels of probs other than chosen, by
+// descending posterior and, among equal posteriors, ascending label, so the
+// result does not depend on map order. The result is never nil.
+func topAlternatives(probs map[int]float64, chosen, k int) []int64 {
+	labels := make([]int, 0, len(probs))
+	for v := range probs {
+		if v != chosen {
+			labels = append(labels, v)
+		}
+	}
+	sort.Slice(labels, func(a, b int) bool {
+		pa, pb := probs[labels[a]], probs[labels[b]]
+		if pa != pb {
+			return pa > pb
+		}
+		return labels[a] < labels[b]
+	})
+	out := make([]int64, min(k, len(labels)))
+	for i := range out {
+		out[i] = int64(labels[i])
+	}
+	return out
 }
 
 // CrossValidateE1 closes the loop on the second error polynomial: with the
