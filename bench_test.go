@@ -436,6 +436,7 @@ func BenchmarkDeviceCapture(b *testing.B) {
 	cn := sampler.DefaultClippedNormal()
 	values, metas := cn.SamplePoly(sampler.NewXoshiro256(52), 1024)
 	var tr trace.Trace
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr, err = dev.Capture(fw, values, metas)

@@ -95,7 +95,7 @@ func run(archived *obs.Run, srcPath string, disasm bool, traceOut string, maxIns
 
 	var syn *power.Synthesizer
 	if traceOut != "" {
-		syn, err = power.NewSynthesizer(power.DefaultModel(), sampler.NewXoshiro256(seed))
+		syn, err = power.NewSynthesizer(power.DefaultModel(), sampler.NewXoshiro256(seed), 0)
 		if err != nil {
 			return err
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"reveal/internal/obs"
 	"reveal/internal/power"
@@ -102,54 +103,58 @@ func (d *Device) Capture(firmware []byte, values []int64, metas []sampler.Sample
 	return d.captureWithSetup(firmware, values, metas, nil)
 }
 
+// cyclesPerIteration bounds the cycles one sampling-kernel iteration spends
+// outside its port wait (33 for the paper kernel, 44 for the branchless
+// one), so a capture's trace buffer is allocated once at its final size.
+const cyclesPerIteration = 48
+
+// newSamplerPort queues values behind the sampler port with the device's
+// data-dependent wait states, and bounds the samples a kernel run renders:
+// the summed waits plus cyclesPerIteration per iteration and prologue.
+func (d *Device) newSamplerPort(values []int64, metas []sampler.SampleMeta) (port *samplerPort, traceCap int, err error) {
+	if len(values) != len(metas) {
+		return nil, 0, fmt.Errorf("core: %d values but %d metas", len(values), len(metas))
+	}
+	port = &samplerPort{values: values, waits: make([]int, len(values))}
+	traceCap = cyclesPerIteration * (len(values) + 1)
+	for i, m := range metas {
+		port.waits[i] = d.WaitBase + d.WaitPerRejection*m.Rejections
+		traceCap += port.waits[i]
+	}
+	return port, traceCap, nil
+}
+
 // captureWithSetup additionally lets the caller plant device state (e.g. a
 // secret key in RAM) before execution starts, via a word-writer callback.
 func (d *Device) captureWithSetup(firmware []byte, values []int64, metas []sampler.SampleMeta,
 	setup func(write func(addr, v uint32) error) error) (trace.Trace, error) {
-	if len(values) != len(metas) {
-		return nil, fmt.Errorf("core: %d values but %d metas", len(values), len(metas))
-	}
-	port := &samplerPort{values: values, waits: make([]int, len(values))}
-	for i, m := range metas {
-		port.waits[i] = d.WaitBase + d.WaitPerRejection*m.Rejections
-	}
-	cpu := rv32.NewCPU(d.MemSize)
-	cpu.MapMMIO(PortBase, 0x100, port)
-	if err := cpu.Load(firmware, 0); err != nil {
-		return nil, err
-	}
-	if setup != nil {
-		if err := setup(cpu.WriteWord); err != nil {
-			return nil, err
-		}
-	}
-	d.runCounter++
-	syn, err := power.NewSynthesizer(d.Model, sampler.NewXoshiro256(d.NoiseSeed^(d.runCounter*0x9e3779b97f4a7c15)))
+	port, traceCap, err := d.newSamplerPort(values, metas)
 	if err != nil {
 		return nil, err
 	}
-	cpu.OnEvent = syn.HandleEvent
 	// Budget: each coefficient costs ~10 instructions; 64 is generous slack.
-	budget := 64 * (len(values) + 4)
-	if _, err := cpu.Run(budget); err != nil {
-		return nil, fmt.Errorf("core: firmware run: %w", err)
+	samples, err := d.captureRegions(firmware, []mmioRegionSpec{{base: PortBase, size: 0x100, handler: port}},
+		setup, 64*(len(values)+4), traceCap+d.TriggerJitter)
+	if err != nil {
+		return nil, err
 	}
 	if port.reads != len(port.values) {
 		return nil, fmt.Errorf("core: firmware performed %d port reads for %d queued samples",
 			port.reads, len(port.values))
 	}
-	samples := trace.Trace(syn.Samples())
 	if d.TriggerJitter > 0 {
 		jitterPRNG := sampler.NewXoshiro256(d.NoiseSeed ^ d.runCounter ^ 0x5151)
 		shift := int(sampler.Uint64Below(jitterPRNG, uint64(d.TriggerJitter+1)))
 		if shift > 0 {
+			// Shift the trace right in its own buffer, which was sized
+			// for the jitter, and fill the prefix with noise floor.
 			floor := samples.Mean()
-			pre := make(trace.Trace, shift, shift+len(samples))
-			for i := range pre {
+			samples = append(samples, make(trace.Trace, shift)...)
+			copy(samples[shift:], samples)
+			for i := 0; i < shift; i++ {
 				n, _ := sampler.NormFloat64(jitterPRNG)
-				pre[i] = floor + n*d.Model.NoiseSigma
+				samples[i] = floor + n*d.Model.NoiseSigma
 			}
-			samples = append(pre, samples...)
 		}
 	}
 	return samples, nil
@@ -214,9 +219,12 @@ type mmioRegionSpec struct {
 }
 
 // captureRegions runs firmware with caller-provided MMIO regions (for
-// kernels with custom port layouts, e.g. the masked variant); the caller
-// is responsible for consumption checks.
-func (d *Device) captureRegions(firmware []byte, regions []mmioRegionSpec, coeffs int) (trace.Trace, error) {
+// kernels with custom port layouts, e.g. the masked variant) after setup,
+// when non-nil, has planted device state, for at most budget instructions.
+// traceCap presizes the trace buffer. The caller is responsible for
+// consumption checks.
+func (d *Device) captureRegions(firmware []byte, regions []mmioRegionSpec,
+	setup func(write func(addr, v uint32) error) error, budget, traceCap int) (trace.Trace, error) {
 	cpu := rv32.NewCPU(d.MemSize)
 	for _, r := range regions {
 		cpu.MapMMIO(r.base, r.size, r.handler)
@@ -224,13 +232,18 @@ func (d *Device) captureRegions(firmware []byte, regions []mmioRegionSpec, coeff
 	if err := cpu.Load(firmware, 0); err != nil {
 		return nil, err
 	}
+	if setup != nil {
+		if err := setup(cpu.WriteWord); err != nil {
+			return nil, err
+		}
+	}
 	d.runCounter++
-	syn, err := power.NewSynthesizer(d.Model, sampler.NewXoshiro256(d.NoiseSeed^(d.runCounter*0x9e3779b97f4a7c15)))
+	syn, err := power.NewSynthesizer(d.Model, sampler.NewXoshiro256(d.NoiseSeed^(d.runCounter*0x9e3779b97f4a7c15)), traceCap)
 	if err != nil {
 		return nil, err
 	}
 	cpu.OnEvent = syn.HandleEvent
-	if _, err := cpu.Run(96 * (coeffs + 4)); err != nil {
+	if _, err := cpu.Run(budget); err != nil {
 		return nil, fmt.Errorf("core: firmware run: %w", err)
 	}
 	return trace.Trace(syn.Samples()), nil
@@ -261,13 +274,21 @@ func (d *Device) Perturb(seed uint64, spread float64) *Device {
 	out.WaitBase = d.WaitBase
 	out.WaitPerRejection = d.WaitPerRejection
 	out.MemSize = d.MemSize
+	out.TriggerJitter = d.TriggerJitter
 
 	prng := sampler.NewXoshiro256(seed)
 	jitter := func() float64 {
 		return 1 + spread*(2*sampler.Float64(prng)-1)
 	}
-	for c, base := range d.Model.Base {
-		out.Model.Base[c] = base * jitter()
+	// One draw per class in ascending class order, not map order, so the
+	// sibling is a function of (device, seed).
+	classes := make([]rv32.Class, 0, len(d.Model.Base))
+	for c := range d.Model.Base {
+		classes = append(classes, c)
+	}
+	sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
+	for _, c := range classes {
+		out.Model.Base[c] = d.Model.Base[c] * jitter()
 	}
 	for b := range out.Model.BitWeights {
 		out.Model.BitWeights[b] = d.Model.BitWeights[b] * jitter()

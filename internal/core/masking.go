@@ -97,18 +97,15 @@ func CaptureMasked(dev *Device, n int, q uint64, values []int64,
 	if err != nil {
 		return nil, err
 	}
-	if len(values) != len(metas) {
-		return nil, fmt.Errorf("core: %d values but %d metas", len(values), len(metas))
-	}
-	inner := &samplerPort{values: values, waits: make([]int, len(values))}
-	for i, m := range metas {
-		inner.waits[i] = dev.WaitBase + dev.WaitPerRejection*m.Rejections
+	inner, traceCap, err := dev.newSamplerPort(values, metas)
+	if err != nil {
+		return nil, err
 	}
 	masks := &maskPort{q: q, prng: sampler.NewXoshiro256(maskSeed)}
 	return dev.captureRegions(fw, []mmioRegionSpec{
 		{base: PortBase, size: 0x100, handler: inner},
 		{base: MaskPortBase, size: 0x100, handler: masks},
-	}, len(values))
+	}, nil, 96*(len(values)+4), traceCap)
 }
 
 // MaskingEvaluation compares what the attack recovers against the masked

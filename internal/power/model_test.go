@@ -8,7 +8,15 @@ import (
 	"reveal/internal/sampler"
 )
 
-func runProgram(t *testing.T, src string, model *Model, seed uint64) *Synthesizer {
+// run is one rendered program: its trace and its executed events.
+type run struct {
+	samples []float64
+	events  []rv32.Event
+}
+
+// runProgram renders src's trace and records its events through its own
+// OnEvent wrapper.
+func runProgram(t *testing.T, src string, model *Model, seed uint64) run {
 	t.Helper()
 	img, _, err := rv32.Assemble(src, 0)
 	if err != nil {
@@ -18,15 +26,32 @@ func runProgram(t *testing.T, src string, model *Model, seed uint64) *Synthesize
 	if err := cpu.Load(img, 0); err != nil {
 		t.Fatal(err)
 	}
-	syn, err := NewSynthesizer(model, sampler.NewXoshiro256(seed))
+	syn, err := NewSynthesizer(model, sampler.NewXoshiro256(seed), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpu.OnEvent = syn.HandleEvent
+	var events []rv32.Event
+	cpu.OnEvent = func(e rv32.Event) {
+		events = append(events, e)
+		syn.HandleEvent(e)
+	}
 	if _, err := cpu.Run(10000); err != nil {
 		t.Fatal(err)
 	}
-	return syn
+	return run{syn.Samples(), events}
+}
+
+// storeWriteBack returns the last sample of the first store event: one
+// sample per cycle, so an event's samples start at its Cycle.
+func (r run) storeWriteBack(t *testing.T) float64 {
+	t.Helper()
+	for _, e := range r.events {
+		if e.MemWrite {
+			return r.samples[int(e.Cycle)+e.Cycles-1]
+		}
+	}
+	t.Fatal("no store event")
+	return 0
 }
 
 func TestValidate(t *testing.T) {
@@ -41,31 +66,26 @@ func TestValidate(t *testing.T) {
 	if err := (&Model{}).Validate(); err == nil {
 		t.Error("empty base map should fail")
 	}
-	if _, err := NewSynthesizer(&Model{}, sampler.NewXoshiro256(0)); err == nil {
+	if _, err := NewSynthesizer(&Model{}, sampler.NewXoshiro256(0), 0); err == nil {
 		t.Error("NewSynthesizer must validate")
 	}
 }
 
 func TestTraceLengthMatchesCycles(t *testing.T) {
-	syn := runProgram(t, `
+	r := runProgram(t, `
 		li  t0, 5
 		add t1, t0, t0
 		ebreak
 	`, DefaultModel(), 1)
 	total := 0
-	for _, e := range syn.Events() {
+	for _, e := range r.events {
+		if int(e.Cycle) != total {
+			t.Errorf("event at %#x starts at cycle %d, previous events total %d", e.PC, e.Cycle, total)
+		}
 		total += e.Cycles
 	}
-	if len(syn.Samples()) != total {
-		t.Errorf("trace has %d samples, events total %d cycles", len(syn.Samples()), total)
-	}
-	if len(syn.Starts()) != len(syn.Events()) {
-		t.Error("starts and events misaligned")
-	}
-	for i := 1; i < len(syn.Starts()); i++ {
-		if syn.Starts()[i] <= syn.Starts()[i-1] {
-			t.Error("starts must be strictly increasing")
-		}
+	if len(r.samples) != total {
+		t.Errorf("trace has %d samples, events total %d cycles", len(r.samples), total)
 	}
 }
 
@@ -74,29 +94,18 @@ func TestHammingWeightLeakage(t *testing.T) {
 	m := DefaultModel()
 	m.NoiseSigma = 0             // deterministic for this test
 	m.BitWeights = [32]float64{} // uniform weights for the exact check
-	synLow := runProgram(t, `
+	low := runProgram(t, `
 		li t0, 0x1000
 		li t1, 1          # HW 1
 		sw t1, 0(t0)
 		ebreak
-	`, m, 2)
-	synHigh := runProgram(t, `
+	`, m, 2).storeWriteBack(t)
+	high := runProgram(t, `
 		li t0, 0x1000
 		li t1, 0xff       # HW 8
 		sw t1, 0(t0)
 		ebreak
-	`, m, 2)
-	// Find the store event in each run and compare its last sample.
-	lastSampleOfStore := func(s *Synthesizer) float64 {
-		for i, e := range s.Events() {
-			if e.MemWrite {
-				return s.Samples()[s.Starts()[i]+e.Cycles-1]
-			}
-		}
-		t.Fatal("no store event")
-		return 0
-	}
-	low, high := lastSampleOfStore(synLow), lastSampleOfStore(synHigh)
+	`, m, 2).storeWriteBack(t)
 	if high <= low {
 		t.Errorf("HW leakage inverted: HW8 store %v <= HW1 store %v", high, low)
 	}
@@ -127,7 +136,7 @@ func TestPortSpikeVisible(t *testing.T) {
 	if err := cpu.Load(img, 0); err != nil {
 		t.Fatal(err)
 	}
-	syn, err := NewSynthesizer(m, sampler.NewXoshiro256(3))
+	syn, err := NewSynthesizer(m, sampler.NewXoshiro256(3), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +166,7 @@ func (d *constDevice) Write(uint32, uint32) int  { return 0 }
 func TestControlFlowDistinguishable(t *testing.T) {
 	m := DefaultModel()
 	m.NoiseSigma = 0
-	pos := runProgram(t, `
+	a := runProgram(t, `
 		li   a0, 5
 		blt  zero, a0, positive
 		j    done
@@ -165,8 +174,8 @@ func TestControlFlowDistinguishable(t *testing.T) {
 		mv   a1, a0
 	done:
 		ebreak
-	`, m, 4)
-	neg := runProgram(t, `
+	`, m, 4).samples
+	b := runProgram(t, `
 		li   a0, -5
 		blt  zero, a0, positive
 		j    done
@@ -174,8 +183,7 @@ func TestControlFlowDistinguishable(t *testing.T) {
 		mv   a1, a0
 	done:
 		ebreak
-	`, m, 4)
-	a, b := pos.Samples(), neg.Samples()
+	`, m, 4).samples
 	if len(a) == len(b) {
 		same := true
 		for i := range a {
@@ -190,29 +198,17 @@ func TestControlFlowDistinguishable(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	syn := runProgram(t, "ebreak", DefaultModel(), 5)
-	if len(syn.Samples()) == 0 {
-		t.Fatal("expected samples")
-	}
-	syn.Reset()
-	if len(syn.Samples()) != 0 || len(syn.Events()) != 0 || len(syn.Starts()) != 0 {
-		t.Error("reset did not clear state")
-	}
-}
-
 func TestNoiseStatistics(t *testing.T) {
 	m := DefaultModel()
 	m.NoiseSigma = 0.5
 	// A long run of identical instructions: variance of samples ≈ σ².
-	syn := runProgram(t, `
+	samples := runProgram(t, `
 		li t0, 1000
 	loop:
 		addi t0, t0, -1
 		bnez t0, loop
 		ebreak
-	`, m, 6)
-	samples := syn.Samples()
+	`, m, 6).samples
 	// Use only addi write-back samples? Simpler: overall variance is
 	// dominated by class/HW structure; instead compare same-position
 	// samples across iterations. Take every 7th sample (addi=3 + taken
@@ -252,19 +248,12 @@ func TestBitWeightedLeakageSeparatesEqualHW(t *testing.T) {
 	m := DefaultModel()
 	m.NoiseSigma = 0
 	storeSample := func(value string) float64 {
-		syn := runProgram(t, `
+		return runProgram(t, `
 		li t0, 0x1000
 		li t1, `+value+`
 		sw t1, 0(t0)
 		ebreak
-	`, m, 20)
-		for i, e := range syn.Events() {
-			if e.MemWrite {
-				return syn.Samples()[syn.Starts()[i]+e.Cycles-1]
-			}
-		}
-		t.Fatal("no store")
-		return 0
+	`, m, 20).storeWriteBack(t)
 	}
 	v1, v2, v4 := storeSample("1"), storeSample("2"), storeSample("4")
 	if v1 == v2 || v2 == v4 || v1 == v4 {

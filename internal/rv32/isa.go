@@ -98,6 +98,7 @@ const (
 	ClassStore
 	ClassMulDiv
 	ClassSystem
+	NumClasses // number of instruction classes
 )
 
 // Class returns the instruction class of o.
@@ -154,6 +155,18 @@ type Instr struct {
 	Raw uint32
 }
 
+// Decode tables indexed by funct3; OpInvalid marks an unused encoding. The
+// OP-IMM and OP tables leave out the funct3 values whose funct7 selects
+// the operation (shifts, ADD/SUB), which Decode handles itself.
+var (
+	branchOps = [8]Op{0: OpBEQ, 1: OpBNE, 4: OpBLT, 5: OpBGE, 6: OpBLTU, 7: OpBGEU}
+	loadOps   = [8]Op{0: OpLB, 1: OpLH, 2: OpLW, 4: OpLBU, 5: OpLHU}
+	storeOps  = [8]Op{0: OpSB, 1: OpSH, 2: OpSW}
+	opImmOps  = [8]Op{0: OpADDI, 2: OpSLTI, 3: OpSLTIU, 4: OpXORI, 6: OpORI, 7: OpANDI}
+	opOps     = [8]Op{1: OpSLL, 2: OpSLT, 3: OpSLTU, 4: OpXOR, 6: OpOR, 7: OpAND}
+	mulDivOps = [8]Op{OpMUL, OpMULH, OpMULHSU, OpMULHU, OpDIV, OpDIVU, OpREM, OpREMU}
+)
+
 // Decode decodes a 32-bit instruction word.
 func Decode(word uint32) (Instr, error) {
 	opcode := word & 0x7f
@@ -181,43 +194,22 @@ func Decode(word uint32) (Instr, error) {
 		in.Op = OpJALR
 		in.Imm = immI(word)
 	case 0x63:
-		ops := map[uint32]Op{0: OpBEQ, 1: OpBNE, 4: OpBLT, 5: OpBGE, 6: OpBLTU, 7: OpBGEU}
-		op, ok := ops[funct3]
-		if !ok {
+		if in.Op = branchOps[funct3]; in.Op == OpInvalid {
 			return in, fmt.Errorf("rv32: bad branch funct3 %d", funct3)
 		}
-		in.Op = op
 		in.Imm = immB(word)
 	case 0x03:
-		ops := map[uint32]Op{0: OpLB, 1: OpLH, 2: OpLW, 4: OpLBU, 5: OpLHU}
-		op, ok := ops[funct3]
-		if !ok {
+		if in.Op = loadOps[funct3]; in.Op == OpInvalid {
 			return in, fmt.Errorf("rv32: bad load funct3 %d", funct3)
 		}
-		in.Op = op
 		in.Imm = immI(word)
 	case 0x23:
-		ops := map[uint32]Op{0: OpSB, 1: OpSH, 2: OpSW}
-		op, ok := ops[funct3]
-		if !ok {
+		if in.Op = storeOps[funct3]; in.Op == OpInvalid {
 			return in, fmt.Errorf("rv32: bad store funct3 %d", funct3)
 		}
-		in.Op = op
 		in.Imm = immS(word)
 	case 0x13:
 		switch funct3 {
-		case 0:
-			in.Op = OpADDI
-		case 2:
-			in.Op = OpSLTI
-		case 3:
-			in.Op = OpSLTIU
-		case 4:
-			in.Op = OpXORI
-		case 6:
-			in.Op = OpORI
-		case 7:
-			in.Op = OpANDI
 		case 1:
 			if funct7 != 0 {
 				return in, fmt.Errorf("rv32: bad SLLI funct7 %#x", funct7)
@@ -237,12 +229,11 @@ func Decode(word uint32) (Instr, error) {
 			in.Imm = int32(rs2)
 			return in, nil
 		}
+		in.Op = opImmOps[funct3]
 		in.Imm = immI(word)
 	case 0x33:
 		if funct7 == 1 {
-			ops := map[uint32]Op{0: OpMUL, 1: OpMULH, 2: OpMULHSU, 3: OpMULHU,
-				4: OpDIV, 5: OpDIVU, 6: OpREM, 7: OpREMU}
-			in.Op = ops[funct3]
+			in.Op = mulDivOps[funct3]
 			return in, nil
 		}
 		switch funct3 {
@@ -255,14 +246,6 @@ func Decode(word uint32) (Instr, error) {
 			default:
 				return in, fmt.Errorf("rv32: bad ADD/SUB funct7 %#x", funct7)
 			}
-		case 1:
-			in.Op = OpSLL
-		case 2:
-			in.Op = OpSLT
-		case 3:
-			in.Op = OpSLTU
-		case 4:
-			in.Op = OpXOR
 		case 5:
 			switch funct7 {
 			case 0:
@@ -272,10 +255,8 @@ func Decode(word uint32) (Instr, error) {
 			default:
 				return in, fmt.Errorf("rv32: bad SRL/SRA funct7 %#x", funct7)
 			}
-		case 6:
-			in.Op = OpOR
-		case 7:
-			in.Op = OpAND
+		default:
+			in.Op = opOps[funct3]
 		}
 	case 0x73:
 		switch word {
