@@ -183,7 +183,7 @@ func runTable2(args []string) error {
 	if err != nil {
 		return err
 	}
-	report := experiments.ReportTable2(rows)
+	report := experiments.Table2Report{Rows: rows}
 	camp.setResult("table2", report)
 	if *jsonOut {
 		return experiments.WriteJSON(os.Stdout, report)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"reveal/internal/sca"
@@ -29,6 +30,9 @@ type CoefficientClassifier struct {
 	// scorers plus alignment and posterior scratch), so repeated attacks
 	// over the same classifier reuse their buffers.
 	scorers sync.Pool
+	// labels is built once, by posteriorLabels.
+	labelsOnce sync.Once
+	labels     []int
 }
 
 // scorer takes a reusable classification context from the pool (building
@@ -43,15 +47,21 @@ func (c *CoefficientClassifier) scorer() *segScorer {
 
 func (c *CoefficientClassifier) release(ss *segScorer) { c.scorers.Put(ss) }
 
-// Classification is the outcome for one coefficient sub-trace.
-type Classification struct {
-	// Value is the maximum-likelihood coefficient.
-	Value int
-	// Sign is the recovered branch (−1, 0, +1).
-	Sign int
-	// Probs is the posterior over coefficient values (Table II's rows):
-	// P(v) = P(sign)·P(v | sign).
-	Probs map[int]float64
+// posteriorLabels returns the ascending label set of the combined
+// posterior: 0 and every value template's label, each once. Every attack
+// result of the classifier shares this slice as its Labels.
+func (c *CoefficientClassifier) posteriorLabels() []int {
+	c.labelsOnce.Do(func() {
+		labels := []int{0}
+		for _, t := range []*sca.Templates{c.Pos, c.Neg} {
+			if t != nil {
+				labels = append(labels, t.Labels()...)
+			}
+		}
+		slices.Sort(labels)
+		c.labels = slices.Compact(labels)
+	})
+	return c.labels
 }
 
 // tailAlign aligns a sub-trace by its end: the sampler-port read at the
@@ -67,11 +77,17 @@ func tailAlign(seg trace.Trace, length int) trace.Trace {
 }
 
 // AttackResult aggregates the single-trace attack over one error
-// polynomial.
+// polynomial: per coefficient the maximum-likelihood value, the recovered
+// sign, and the posterior P(v) = P(sign)·P(v | sign) over Labels.
 type AttackResult struct {
 	Values []int
 	Signs  []int
-	Probs  []map[int]float64
+	// Labels is the classifier's ascending label set, shared by every row
+	// of Probs (and with the classifier: do not modify it).
+	Labels []int
+	// Probs[i][j] is coefficient i's posterior of Labels[j]. The rows are
+	// views into one len(Probs)·len(Labels) allocation.
+	Probs [][]float64
 }
 
 // AttackSegmentsCtx classifies every per-coefficient segment of an

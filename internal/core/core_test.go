@@ -291,13 +291,17 @@ func TestRecoverMessageWithGroundTruth(t *testing.T) {
 	} else if ternary {
 		t.Error("wrong e2 accepted by the ternary verification")
 	}
-	// The residual search must reject it too when it has no alternative.
-	wrong := &AttackResult{Values: make([]int, params.N), Probs: make([]map[int]float64, params.N)}
+	// The residual search must reject it too when it has no budget for
+	// alternatives.
+	wrongProbs := make([]map[int]float64, params.N)
+	for i, v := range bad {
+		wrongProbs[i] = map[int]float64{int(v): 1}
+	}
+	wrong := denseResult(make([]int, params.N), wrongProbs)
 	for i, v := range bad {
 		wrong.Values[i] = int(v)
-		wrong.Probs[i] = map[int]float64{int(v): 1}
 	}
-	if got, _, trials, err := RepairAndRecover(params, pk, ct, wrong, 16, 100); err == nil || got != nil || trials != 1 {
+	if got, _, trials, err := RepairAndRecover(params, pk, ct, wrong, 16, 1); err == nil || got != nil || trials != 1 {
 		t.Errorf("RepairAndRecover accepted wrong e2: pt %v, %d trials, err %v", got != nil, trials, err)
 	}
 	if _, _, err := RecoverU(params, pk, ct, bad[:3]); err == nil {
@@ -321,21 +325,21 @@ func TestRepairAndRecoverPlantedErrors(t *testing.T) {
 	}
 	// Build a synthetic attack result: correct everywhere except two
 	// planted errors whose true values are the second candidates.
-	res := &AttackResult{
-		Values: make([]int, params.N),
-		Signs:  make([]int, params.N),
-		Probs:  make([]map[int]float64, params.N),
-	}
+	values := make([]int, params.N)
+	signs := make([]int, params.N)
+	probs := make([]map[int]float64, params.N)
 	for i, v := range tr.E2 {
-		res.Values[i] = int(v)
-		res.Signs[i] = sca.SignOf(int(v))
-		res.Probs[i] = map[int]float64{int(v): 0.9, int(v) + 1: 0.1}
+		values[i] = int(v)
+		signs[i] = sca.SignOf(int(v))
+		probs[i] = map[int]float64{int(v): 0.9, int(v) + 1: 0.1}
 	}
 	for _, idx := range []int{5, 40} {
-		truth := res.Values[idx]
-		res.Values[idx] = truth - 1 // wrong ML guess
-		res.Probs[idx] = map[int]float64{truth - 1: 0.5, truth: 0.45, truth + 2: 0.05}
+		truth := values[idx]
+		values[idx] = truth - 1 // wrong ML guess
+		probs[idx] = map[int]float64{truth - 1: 0.5, truth: 0.45, truth + 2: 0.05}
 	}
+	res := denseResult(values, probs)
+	res.Signs = signs
 	got, repairedE2, trials, err := RepairAndRecover(params, pk, ct, res, 16, 20000)
 	if err != nil {
 		t.Fatalf("repair failed after %d trials: %v", trials, err)
@@ -417,17 +421,17 @@ func TestEstimatesFromAttack(t *testing.T) {
 	// already LLL-weak without any hints.
 	params := bfv.PaperParameters()
 	// Synthetic perfect attack result.
-	res := &AttackResult{
-		Values: make([]int, params.N),
-		Signs:  make([]int, params.N),
-		Probs:  make([]map[int]float64, params.N),
-	}
-	for i := range res.Probs {
+	values := make([]int, params.N)
+	signs := make([]int, params.N)
+	probs := make([]map[int]float64, params.N)
+	for i := range probs {
 		v := (i % 7) - 3
-		res.Values[i] = v
-		res.Signs[i] = sca.SignOf(v)
-		res.Probs[i] = map[int]float64{v: 1}
+		values[i] = v
+		signs[i] = sca.SignOf(v)
+		probs[i] = map[int]float64{v: 1}
 	}
+	res := denseResult(values, probs)
+	res.Signs = signs
 	loss, err := EstimateFullHints(params, res)
 	if err != nil {
 		t.Fatal(err)
@@ -456,7 +460,8 @@ func TestEstimatesFromAttack(t *testing.T) {
 		t.Error("a guess must not increase hardness")
 	}
 	// Wrong-length results must be rejected.
-	short := &AttackResult{Values: []int{1}, Signs: []int{1}, Probs: []map[int]float64{{1: 1}}}
+	short := denseResult([]int{1}, []map[int]float64{{1: 1}})
+	short.Signs = []int{1}
 	if _, err := EstimateFullHints(params, short); err == nil {
 		t.Error("short result should fail")
 	}
@@ -472,36 +477,6 @@ func TestEstimateRejectsMultiModulus(t *testing.T) {
 	}
 	if _, err := LWEInstanceForParams(p); err == nil {
 		t.Error("multi-modulus params should be rejected")
-	}
-}
-
-func TestSummarizeHints(t *testing.T) {
-	res := &AttackResult{
-		Values: []int{1, -2},
-		Signs:  []int{1, -1},
-		Probs: []map[int]float64{
-			{1: 0.9, 2: 0.1},
-			{-2: 1.0},
-		},
-	}
-	rows, err := SummarizeHints(res, []int64{1, -2}, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatal("want 2 rows")
-	}
-	if rows[1].Variance != 0 {
-		t.Error("certain hint must have zero variance")
-	}
-	if rows[0].Centered <= 1 || rows[0].Centered >= 1.2 {
-		t.Errorf("centered=%v want 1.1", rows[0].Centered)
-	}
-	if rows[0].TrueValue != 1 {
-		t.Error("truth not propagated")
-	}
-	if _, err := SummarizeHints(res, nil, []int{5}); err == nil {
-		t.Error("out-of-range index should fail")
 	}
 }
 

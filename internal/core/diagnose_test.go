@@ -117,14 +117,11 @@ func TestEmitCoeffEvents(t *testing.T) {
 	obs.SetGlobal(rec)
 	defer obs.SetGlobal(nil)
 
-	res := &AttackResult{
-		Values: []int{1, -2},
-		Signs:  []int{1, -1},
-		Probs: []map[int]float64{
-			{1: 0.8, 0: 0.2},
-			{-2: 0.6, -1: 0.4},
-		},
-	}
+	res := denseResult([]int{1, -2}, []map[int]float64{
+		{1: 0.8, 0: 0.2},
+		{-2: 0.6, -1: 0.4},
+	})
+	res.Signs = []int{1, -1}
 	EmitCoeffEventsCtx(context.Background(), "e1", res, []int64{1, -1})
 	events, dropped := rec.CoeffEvents()
 	if len(events) != 2 || dropped != 0 {

@@ -7,17 +7,17 @@ import (
 )
 
 // Digest returns the canonical SHA-256 fingerprint of the result: values,
-// signs, and the full posterior tables, marshaled as canonical JSON (map
-// keys sorted, floats in shortest round-trip form, so two results digest
+// signs, and the full posterior table, marshaled as canonical JSON (see
+// PosteriorTable: floats in shortest round-trip form, so two results digest
 // equal iff every float is bit-identical up to the -0/0 distinction JSON
 // preserves). The streaming and batch attack paths are held to digest
 // equality by the determinism contract and the CI stream-smoke job.
 func (r *AttackResult) Digest() (string, error) {
 	data, err := json.Marshal(struct {
-		Values []int             `json:"values"`
-		Signs  []int             `json:"signs"`
-		Probs  []map[int]float64 `json:"probs"`
-	}{r.Values, r.Signs, r.Probs})
+		Values []int          `json:"values"`
+		Signs  []int          `json:"signs"`
+		Probs  PosteriorTable `json:"probs"`
+	}{r.Values, r.Signs, PosteriorTable{r.Labels, r.Probs}})
 	if err != nil {
 		return "", err
 	}
@@ -32,5 +32,5 @@ func (r *AttackResult) Prefix(n int) *AttackResult {
 	if n > len(r.Values) {
 		n = len(r.Values)
 	}
-	return &AttackResult{Values: r.Values[:n], Signs: r.Signs[:n], Probs: r.Probs[:n]}
+	return &AttackResult{Values: r.Values[:n], Signs: r.Signs[:n], Labels: r.Labels, Probs: r.Probs[:n]}
 }

@@ -40,7 +40,7 @@ func EstimateFullHints(params *bfv.Parameters, res *AttackResult) (*dbdd.Securit
 		sp.AddItems(len(res.Probs))
 		defer sp.End()
 		for i, probs := range res.Probs {
-			h := dbdd.HintFromProbabilities(probs)
+			h := dbdd.HintFromProbabilities(res.Labels, probs)
 			if err := in.IntegrateCoefficientHint(errorCoord(params, i), h); err != nil {
 				return err
 			}
@@ -95,30 +95,4 @@ func SignOnlyWithGuess(params *bfv.Parameters, res *AttackResult) (bikz float64,
 		return 0, nil, err
 	}
 	return bikz, guess, nil
-}
-
-// HintSummary is one row of Table II: the probability table of a single
-// measurement with its centered mean and variance.
-type HintSummary struct {
-	TrueValue int
-	Probs     map[int]float64
-	Centered  float64
-	Variance  float64
-}
-
-// SummarizeHints produces the Table II rows for the given coefficients.
-func SummarizeHints(res *AttackResult, truth []int64, indices []int) ([]HintSummary, error) {
-	out := make([]HintSummary, 0, len(indices))
-	for _, i := range indices {
-		if i < 0 || i >= len(res.Probs) {
-			return nil, fmt.Errorf("core: index %d out of range", i)
-		}
-		h := dbdd.HintFromProbabilities(res.Probs[i])
-		s := HintSummary{Probs: res.Probs[i], Centered: h.Mean, Variance: h.Variance}
-		if truth != nil && i < len(truth) {
-			s.TrueValue = int(truth[i])
-		}
-		out = append(out, s)
-	}
-	return out, nil
 }

@@ -27,7 +27,7 @@ func EmitCoeffEventsCtx(ctx context.Context, poly string, res *AttackResult, tru
 	}
 	for i := 0; i < n; i++ {
 		tv := int(truth[i])
-		margin, entropy, rank := obs.PosteriorStats(res.Probs[i], tv)
+		margin, entropy, rank := obs.PosteriorStats(res.Labels, res.Probs[i], tv)
 		rec.RecordCoeff(obs.CoeffEvent{
 			TraceID:     traceID,
 			Poly:        poly,

@@ -27,10 +27,12 @@ func (c *CoefficientClassifier) AttackSegmentsParallel(ctx context.Context, segs
 	sp := obs.StartSpanCtx(ctx, "classify")
 	sp.AddItems(len(segs))
 	defer sp.End()
+	labels := c.posteriorLabels()
 	res := &AttackResult{
 		Values: make([]int, len(segs)),
 		Signs:  make([]int, len(segs)),
-		Probs:  make([]map[int]float64, len(segs)),
+		Labels: labels,
+		Probs:  posteriorRows(len(segs), len(labels)),
 	}
 	if workers > len(segs) {
 		workers = len(segs)
@@ -87,13 +89,11 @@ func (c *CoefficientClassifier) classifyShard(ctx context.Context, segs []trace.
 				return fmt.Errorf("core: classification canceled at coefficient %d: %w", i, err)
 			}
 		}
-		cl, err := ss.classify(segs[i].Samples)
+		v, s, err := ss.classify(segs[i].Samples, res.Probs[i])
 		if err != nil {
 			return fmt.Errorf("core: coefficient %d: %w", i, err)
 		}
-		res.Values[i] = cl.Value
-		res.Signs[i] = cl.Sign
-		res.Probs[i] = cl.Probs
+		res.Values[i], res.Signs[i] = v, s
 	}
 	return nil
 }

@@ -259,7 +259,7 @@ func RepairAndRecover(params *bfv.Parameters, pk *bfv.PublicKey, ct *bfv.Ciphert
 	}
 	doubts := make([]doubt, len(attack.Values))
 	for i := range attack.Values {
-		doubts[i] = doubt{idx: i, conf: attack.Probs[i][attack.Values[i]]}
+		doubts[i] = doubt{idx: i, conf: Posterior{attack.Labels, attack.Probs[i]}.At(attack.Values[i])}
 	}
 	sort.Slice(doubts, func(a, b int) bool { return doubts[a].conf < doubts[b].conf })
 
@@ -268,7 +268,7 @@ func RepairAndRecover(params *bfv.Parameters, pk *bfv.PublicKey, ct *bfv.Ciphert
 	alts := make([][]int64, len(attack.Values))
 	altsFor := func(i int) []int64 {
 		if alts[i] == nil {
-			alts[i] = topAlternatives(attack.Probs[i], attack.Values[i], 4)
+			alts[i] = topAlternatives(attack.Labels, attack.Probs[i], attack.Values[i], 4)
 		}
 		return alts[i]
 	}
@@ -317,26 +317,21 @@ func RepairAndRecover(params *bfv.Parameters, pk *bfv.PublicKey, ct *bfv.Ciphert
 	return nil, nil, trials, fmt.Errorf("core: residual search exhausted after %d trials", trials)
 }
 
-// topAlternatives returns up to k labels of probs other than chosen, by
-// descending posterior and, among equal posteriors, ascending label, so the
-// result does not depend on map order. The result is never nil.
-func topAlternatives(probs map[int]float64, chosen, k int) []int64 {
-	labels := make([]int, 0, len(probs))
-	for v := range probs {
+// topAlternatives returns up to k labels other than chosen, by descending
+// posterior p and, among equal posteriors, ascending label. The result is
+// never nil.
+func topAlternatives(labels []int, p []float64, chosen, k int) []int64 {
+	idx := make([]int, 0, len(labels))
+	for i, v := range labels {
 		if v != chosen {
-			labels = append(labels, v)
+			idx = append(idx, i)
 		}
 	}
-	sort.Slice(labels, func(a, b int) bool {
-		pa, pb := probs[labels[a]], probs[labels[b]]
-		if pa != pb {
-			return pa > pb
-		}
-		return labels[a] < labels[b]
-	})
-	out := make([]int64, min(k, len(labels)))
+	// labels ascend, so a stable sort keeps ties in label order.
+	sort.SliceStable(idx, func(a, b int) bool { return p[idx[a]] > p[idx[b]] })
+	out := make([]int64, min(k, len(idx)))
 	for i := range out {
-		out[i] = int64(labels[i])
+		out[i] = int64(labels[idx[i]])
 	}
 	return out
 }

@@ -164,13 +164,15 @@ func TestShiftedMatchesDirectRecoverU(t *testing.T) {
 // plantedResult is an attack result that is right except at the planted
 // coefficients: their maximum-likelihood value is wrong, and the true one
 // is an alternative of the given rank (0 = most likely alternative), or
-// missing when rank ≥ 4. Every other coefficient has two alternatives.
+// has posterior 0 when rank ≥ 4. Every other coefficient puts its mass on
+// two alternatives; its other alternatives have posterior 0.
 func plantedResult(truth []int64, planted map[int]int) *AttackResult {
-	res := &AttackResult{Values: make([]int, len(truth)), Probs: make([]map[int]float64, len(truth))}
+	values := make([]int, len(truth))
+	tables := make([]map[int]float64, len(truth))
 	for i, t := range truth {
 		v := int(t)
-		res.Values[i] = v
-		res.Probs[i] = map[int]float64{v: 0.9, v + 1: 0.06, v - 1: 0.04}
+		values[i] = v
+		tables[i] = map[int]float64{v: 0.9, v + 1: 0.06, v - 1: 0.04}
 	}
 	for idx, rank := range planted {
 		truth := int(truth[idx])
@@ -188,10 +190,10 @@ func plantedResult(truth []int64, planted map[int]int) *AttackResult {
 		if rank >= 4 {
 			delete(probs, truth)
 		}
-		res.Values[idx] = wrong
-		res.Probs[idx] = probs
+		values[idx] = wrong
+		tables[idx] = probs
 	}
-	return res
+	return denseResult(values, tables)
 }
 
 // assertSameAsReference runs the search and the per-trial reference on one
@@ -199,7 +201,7 @@ func plantedResult(truth []int64, planted map[int]int) *AttackResult {
 func assertSameAsReference(t *testing.T, c *recoverCase, res *AttackResult, maxDepth, maxTrials int) (int, error) {
 	t.Helper()
 	pt, e2, trials, err := RepairAndRecover(c.params, c.pk, c.ct, res, maxDepth, maxTrials)
-	refU, refE2, refTrials, refErr := testkit.RefRepairAndRecover(c.params, c.pk, c.ct, res.Values, res.Probs, maxDepth, maxTrials)
+	refU, refE2, refTrials, refErr := testkit.RefRepairAndRecover(c.params, c.pk, c.ct, res.Values, rowMaps(res.Labels, res.Probs), maxDepth, maxTrials)
 	if trials != refTrials || (err == nil) != (refErr == nil) || !slices.Equal(e2, refE2) {
 		t.Fatalf("search: %d trials, err %v; reference: %d trials, err %v (e2 equal: %v)",
 			trials, err, refTrials, refErr, slices.Equal(e2, refE2))
@@ -241,7 +243,7 @@ func TestRepairAndRecoverMatchesReference(t *testing.T) {
 		{"triple", small, []int{0, 2, 1}, 20000, false},
 		{"budget", small, []int{1, 3}, 150, true},
 		{"unreachable", small, []int{0, 5}, 5000, true},
-		{"paper-pair", newRecoverCase(t, bfv.PaperParameters(), 42), []int{3, 0}, 5000, false},
+		{"paper-pair", newRecoverCase(t, bfv.PaperParameters(), 42), []int{3, 0}, 12000, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Planted coefficients are the least confident, so pairs and
@@ -291,37 +293,35 @@ func TestRepairAndRecoverSetupErrors(t *testing.T) {
 	}
 }
 
-// Alternatives of equal posterior are tried in ascending label order, so
-// the search does not depend on map order. Here six alternatives tie and
-// only four are tried: with map order deciding, the truth would be tried
-// at a varying trial, or not at all.
+// Alternatives of equal posterior are tried in ascending label order. Here
+// every alternative of the planted coefficient ties at posterior 0, so the
+// four lowest labels are tried; the planted coefficient holds the smallest
+// e2 value, whose truth is the second-lowest label, so the search repairs
+// it, at the same trial on every run and as the reference does.
 func TestRepairAndRecoverIgnoresMapOrder(t *testing.T) {
 	c := newRecoverCase(t, smallParams(t), 61)
-	const idx = 9
-	truth := int(c.e2[idx])
-	labels := []int{truth - 3, truth - 2, truth + 4, truth + 5, truth, truth - 1}
-	build := func(order []int) *AttackResult {
-		res := plantedResult(c.e2, nil)
-		res.Values[idx] = truth + 1
-		res.Probs[idx] = map[int]float64{truth + 1: 1}
-		for _, v := range order {
-			res.Probs[idx][v] = 0
+	idx := 0
+	for i, v := range c.e2 {
+		if v < c.e2[idx] {
+			idx = i
 		}
-		return res
 	}
-	reversed := slices.Clone(labels)
-	slices.Reverse(reversed)
-	wantPt, wantE2, wantTrials, wantErr := RepairAndRecover(c.params, c.pk, c.ct, build(labels), 16, 1000)
-	if wantErr != nil {
-		t.Fatal(wantErr)
+	truth := int(c.e2[idx])
+	res := plantedResult(c.e2, nil)
+	res.Values[idx] = truth + 1
+	row := res.Probs[idx]
+	clear(row)
+	row[slices.Index(res.Labels, truth+1)] = 1
+	if got, want := topAlternatives(res.Labels, row, truth+1, 4), []int64{int64(truth - 1), int64(truth), int64(truth + 2), int64(truth + 3)}; !slices.Equal(got, want) {
+		t.Fatalf("alternatives %v, want %v", got, want)
+	}
+	wantTrials, err := assertSameAsReference(t, c, res, 16, 1000)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for run := 0; run < 20; run++ {
-		order := labels
-		if run%2 == 1 {
-			order = reversed
-		}
-		pt, e2, trials, err := RepairAndRecover(c.params, c.pk, c.ct, build(order), 16, 1000)
-		if err != nil || trials != wantTrials || !slices.Equal(e2, wantE2) || !slices.Equal(pt.Coeffs, wantPt.Coeffs) {
+		_, _, trials, err := RepairAndRecover(c.params, c.pk, c.ct, res, 16, 1000)
+		if err != nil || trials != wantTrials {
 			t.Fatalf("run %d: %d trials, err %v; first run: %d trials", run, trials, err, wantTrials)
 		}
 	}

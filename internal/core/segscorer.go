@@ -11,9 +11,9 @@ import (
 // segScorer is a per-goroutine classification context over one trained
 // CoefficientClassifier: one reusable sca.Scorer per template set (sign,
 // positive values, negative values), a reusable tail-alignment buffer, and
-// the precomputed label layout of the combined posterior. It computes each
-// class log-likelihood exactly once per segment and fills the posterior
-// map in one insertion pass.
+// the slot of each class in the classifier's posterior labels. It computes
+// each class log-likelihood exactly once per segment and writes the
+// posterior straight into the caller's row.
 type segScorer struct {
 	c              *CoefficientClassifier
 	sign, pos, neg *sca.Scorer
@@ -23,16 +23,10 @@ type segScorer struct {
 	// Indices of the −1/0/+1 labels in the sign scorer's class order
 	// (−1 when the label is absent — its posterior then reads as 0).
 	idxNeg, idxZero, idxPos int
-	// sortedLabels is the ascending label set of the combined posterior:
-	// negative labels, 0, positive labels. The normalization sum runs in
-	// this order (float addition is order-sensitive).
-	sortedLabels []int
 	// posSlot/negSlot map each value scorer's class index to its entry of
-	// sortedLabels; zeroSlot is label 0's entry. combined is the per-label
-	// scratch the posterior is assembled in before it becomes a map.
+	// the classifier's posterior labels; zeroSlot is label 0's entry.
 	posSlot, negSlot []int
 	zeroSlot         int
-	combined         []float64
 }
 
 func newSegScorer(c *CoefficientClassifier) *segScorer {
@@ -53,42 +47,23 @@ func newSegScorer(c *CoefficientClassifier) *segScorer {
 			ss.idxPos = ci
 		}
 	}
-	labels := []int{0}
+	labels := c.posteriorLabels()
+	ss.zeroSlot = sort.SearchInts(labels, 0)
+	slots := func(s *sca.Scorer) []int {
+		out := make([]int, s.Classes())
+		for ci := range out {
+			out[ci] = sort.SearchInts(labels, s.Label(ci))
+		}
+		return out
+	}
 	if c.Pos != nil {
 		ss.pos = c.Pos.NewScorer()
 		ss.posPost = make([]float64, ss.pos.Classes())
-		labels = append(labels, c.Pos.Labels()...)
+		ss.posSlot = slots(ss.pos)
 	}
 	if c.Neg != nil {
 		ss.neg = c.Neg.NewScorer()
 		ss.negPost = make([]float64, ss.neg.Classes())
-		labels = append(labels, c.Neg.Labels()...)
-	}
-	sort.Ints(labels)
-	// Dedupe: the combined posterior is a map, so a label shared between
-	// template sets gets one slot and contributes to the normalization sum
-	// only once.
-	uniq := labels[:0]
-	for i, l := range labels {
-		if i == 0 || l != labels[i-1] {
-			uniq = append(uniq, l)
-		}
-	}
-	ss.sortedLabels = uniq
-	ss.combined = make([]float64, len(uniq))
-	slot := func(l int) int { return sort.SearchInts(uniq, l) }
-	ss.zeroSlot = slot(0)
-	slots := func(s *sca.Scorer) []int {
-		out := make([]int, s.Classes())
-		for ci := range out {
-			out[ci] = slot(s.Label(ci))
-		}
-		return out
-	}
-	if ss.pos != nil {
-		ss.posSlot = slots(ss.pos)
-	}
-	if ss.neg != nil {
 		ss.negSlot = slots(ss.neg)
 	}
 	return ss
@@ -107,16 +82,17 @@ func (ss *segScorer) tailAlignInto(seg trace.Trace) trace.Trace {
 
 // classify classifies one per-coefficient sub-trace over the reusable
 // scoring context: branch first (V1), then the value template of the
-// recovered side (V2/V3), with the combined posterior
-// P(v) = P(sign)·P(v | sign).
-func (ss *segScorer) classify(seg trace.Trace) (*Classification, error) {
+// recovered side (V2/V3). It writes the normalised posterior
+// P(v) = P(sign)·P(v | sign) into row, one entry per posterior label, and
+// returns the maximum-likelihood value and the sign.
+func (ss *segScorer) classify(seg trace.Trace, row []float64) (value, sign int, err error) {
 	aligned := ss.tailAlignInto(seg)
 	signLL, err := ss.sign.ScoreTrace(aligned)
 	if err != nil {
-		return nil, fmt.Errorf("core: sign classification: %w", err)
+		return 0, 0, fmt.Errorf("core: sign classification: %w", err)
 	}
 	ss.sign.PosteriorValues(signLL, ss.signPost)
-	sign := ss.sign.ArgMaxLabel(signLL)
+	sign = ss.sign.ArgMaxLabel(signLL)
 
 	postAt := func(idx int) float64 {
 		if idx < 0 {
@@ -127,59 +103,55 @@ func (ss *segScorer) classify(seg trace.Trace) (*Classification, error) {
 	// Assemble P(v) = P(sign)·P(v | sign) per label slot. Writes go 0,
 	// positive, negative, so a label shared between template sets keeps
 	// the last writer's value.
-	comb := ss.combined
-	comb[ss.zeroSlot] = postAt(ss.idxZero)
+	row[ss.zeroSlot] = postAt(ss.idxZero)
 	var posLL, negLL []float64
 	if ss.pos != nil {
 		posLL, err = ss.pos.ScoreTrace(aligned)
 		if err != nil {
-			return nil, fmt.Errorf("core: positive value classification: %w", err)
+			return 0, 0, fmt.Errorf("core: positive value classification: %w", err)
 		}
 		ss.pos.PosteriorValues(posLL, ss.posPost)
 		pSign := postAt(ss.idxPos)
 		for ci, p := range ss.posPost {
-			comb[ss.posSlot[ci]] = pSign * p
+			row[ss.posSlot[ci]] = pSign * p
 		}
 	}
 	if ss.neg != nil {
 		negLL, err = ss.neg.ScoreTrace(aligned)
 		if err != nil {
-			return nil, fmt.Errorf("core: negative value classification: %w", err)
+			return 0, 0, fmt.Errorf("core: negative value classification: %w", err)
 		}
 		ss.neg.PosteriorValues(negLL, ss.negPost)
 		nSign := postAt(ss.idxNeg)
 		for ci, p := range ss.negPost {
-			comb[ss.negSlot[ci]] = nSign * p
+			row[ss.negSlot[ci]] = nSign * p
 		}
 	}
-	// Normalize in ascending label order, then insert each label once.
+	// Normalize in ascending label order (float addition is
+	// order-sensitive).
 	total := 0.0
-	for _, v := range comb {
-		total += v
+	for _, p := range row {
+		total += p
 	}
-	probs := make(map[int]float64, len(comb))
-	for i, l := range ss.sortedLabels {
-		p := comb[i]
-		if total > 0 {
-			p /= total
+	if total > 0 {
+		for i := range row {
+			row[i] /= total
 		}
-		probs[l] = p
 	}
 
 	// Maximum-likelihood value within the recovered sign class, reusing the
-	// already-computed value scores (the map-based path recomputed them).
-	value := 0
+	// already-computed value scores.
 	switch sign {
 	case 1:
 		if ss.pos == nil {
-			return nil, fmt.Errorf("core: no positive templates")
+			return 0, 0, fmt.Errorf("core: no positive templates")
 		}
 		value = ss.pos.ArgMaxLabel(posLL)
 	case -1:
 		if ss.neg == nil {
-			return nil, fmt.Errorf("core: no negative templates")
+			return 0, 0, fmt.Errorf("core: no negative templates")
 		}
 		value = ss.neg.ArgMaxLabel(negLL)
 	}
-	return &Classification{Value: value, Sign: sign, Probs: probs}, nil
+	return value, sign, nil
 }

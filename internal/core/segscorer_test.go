@@ -38,10 +38,17 @@ func legacyOf(t *testing.T, c *CoefficientClassifier) *legacyClassifier {
 	return &legacyClassifier{length: c.Length, sign: ref(c.Sign), pos: ref(c.Pos), neg: ref(c.Neg)}
 }
 
+// classification is one coefficient's outcome with its posterior in the
+// map form of the oracle.
+type classification struct {
+	Value, Sign int
+	Probs       map[int]float64
+}
+
 // legacyClassifySegment replicates the pre-scorer classification pipeline —
 // one Cholesky solve per class, map-based posteriors, duplicate template
 // evaluations and all — as the tolerance oracle for the segScorer path.
-func legacyClassifySegment(c *legacyClassifier, seg trace.Trace) (*Classification, error) {
+func legacyClassifySegment(c *legacyClassifier, seg trace.Trace) (*classification, error) {
 	aligned := tailAlign(seg, c.length)
 	signProbs, err := c.sign.Probabilities(aligned)
 	if err != nil {
@@ -100,13 +107,13 @@ func legacyClassifySegment(c *legacyClassifier, seg trace.Trace) (*Classificatio
 	if err != nil {
 		return nil, err
 	}
-	return &Classification{Value: value, Sign: sign, Probs: probs}, nil
+	return &classification{Value: value, Sign: sign, Probs: probs}, nil
 }
 
 // matchesLegacy checks a classification against the oracle's: the same
 // value and sign, the same posterior labels, and every posterior within
 // testkit.OracleTol.
-func matchesLegacy(got, want *Classification) error {
+func matchesLegacy(got, want *classification) error {
 	if got.Value != want.Value || got.Sign != want.Sign {
 		return fmt.Errorf("value/sign (%d,%d), want (%d,%d)", got.Value, got.Sign, want.Value, want.Sign)
 	}
@@ -125,11 +132,18 @@ func matchesLegacy(got, want *Classification) error {
 	return nil
 }
 
-// classifyOne classifies one sub-trace on a pooled scoring context.
-func classifyOne(c *CoefficientClassifier, seg trace.Trace) (*Classification, error) {
+// classifyOne classifies one sub-trace on a pooled scoring context and
+// returns its posterior row as a map over the classifier's labels.
+func classifyOne(c *CoefficientClassifier, seg trace.Trace) (*classification, error) {
 	ss := c.scorer()
 	defer c.release(ss)
-	return ss.classify(seg)
+	labels := c.posteriorLabels()
+	row := make([]float64, len(labels))
+	value, sign, err := ss.classify(seg, row)
+	if err != nil {
+		return nil, err
+	}
+	return &classification{Value: value, Sign: sign, Probs: rowMap(labels, row)}, nil
 }
 
 // TestClassifySegmentMatchesLegacy: the whitened scorer reproduces the

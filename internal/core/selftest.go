@@ -48,12 +48,12 @@ func (r *SelftestReport) Digest() string {
 // selftestSummary is the canonical JSON payload a pipeline run is digested
 // over. Only deterministic fields appear — no timings, no throughput.
 type selftestSummary struct {
-	ValuesE1 []int             `json:"values_e1"`
-	SignsE1  []int             `json:"signs_e1"`
-	ProbsE1  []map[int]float64 `json:"probs_e1"`
-	ValuesE2 []int             `json:"values_e2"`
-	SignsE2  []int             `json:"signs_e2"`
-	ProbsE2  []map[int]float64 `json:"probs_e2"`
+	ValuesE1 []int          `json:"values_e1"`
+	SignsE1  []int          `json:"signs_e1"`
+	ProbsE1  PosteriorTable `json:"probs_e1"`
+	ValuesE2 []int          `json:"values_e2"`
+	SignsE2  []int          `json:"signs_e2"`
+	ProbsE2  PosteriorTable `json:"probs_e2"`
 
 	ValueAccuracy float64 `json:"value_accuracy_e2"`
 	SignAccuracy  float64 `json:"sign_accuracy_e2"`
@@ -137,10 +137,10 @@ func runSelftestPipeline(ctx context.Context, seed uint64, workers int) (*selfte
 	s := &selftestSummary{
 		ValuesE1:      out.E1.Values,
 		SignsE1:       out.E1.Signs,
-		ProbsE1:       out.E1.Probs,
+		ProbsE1:       PosteriorTable{out.E1.Labels, out.E1.Probs},
 		ValuesE2:      out.E2.Values,
 		SignsE2:       out.E2.Signs,
-		ProbsE2:       out.E2.Probs,
+		ProbsE2:       PosteriorTable{out.E2.Labels, out.E2.Probs},
 		ValueAccuracy: valueAcc,
 		SignAccuracy:  signAcc,
 		BaselineBikz:  loss.BaselineBikz,

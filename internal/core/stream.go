@@ -8,7 +8,6 @@ import (
 	"reveal/internal/bfv"
 	"reveal/internal/dbdd"
 	"reveal/internal/obs"
-	"reveal/internal/sca"
 	"reveal/internal/trace"
 )
 
@@ -171,10 +170,13 @@ func NewStreamAttackCtx(ctx context.Context, cls *CoefficientClassifier, opts St
 	}
 	sa.seg = seg
 	sa.ss = cls.scorer()
+	labels := cls.posteriorLabels()
 	sa.res = &AttackResult{
 		Values: make([]int, 0, opts.Coefficients),
 		Signs:  make([]int, 0, opts.Coefficients),
-		Probs:  make([]map[int]float64, 0, opts.Coefficients),
+		Labels: labels,
+		// All n rows are allocated up front; Probs grows over them.
+		Probs: posteriorRows(opts.Coefficients, len(labels))[:0],
 	}
 	sa.sp = obs.StartSpanCtx(ctx, "stream_attack")
 	return sa, nil
@@ -225,18 +227,19 @@ func (sa *StreamAttack) onSegments(segs []trace.Segment) error {
 			return nil // the sentinel segment is discarded unclassified
 		}
 		i := len(sa.res.Values)
-		cl, err := sa.ss.classify(s.Samples)
+		row := sa.res.Probs[:i+1][i]
+		v, sign, err := sa.ss.classify(s.Samples, row)
 		if err != nil {
 			return fmt.Errorf("core: coefficient %d: %w", i, err)
 		}
-		sa.res.Values = append(sa.res.Values, cl.Value)
-		sa.res.Signs = append(sa.res.Signs, cl.Sign)
-		sa.res.Probs = append(sa.res.Probs, cl.Probs)
+		sa.res.Values = append(sa.res.Values, v)
+		sa.res.Signs = append(sa.res.Signs, sign)
+		sa.res.Probs = sa.res.Probs[:i+1]
 		if sa.firstHint == 0 {
 			sa.firstHint = time.Since(sa.started)
 		}
 		if sa.inst != nil {
-			h := dbdd.HintFromProbabilities(cl.Probs)
+			h := dbdd.HintFromProbabilities(sa.res.Labels, row)
 			if err := sa.inst.IntegrateCoefficientHint(errorCoord(sa.opts.Params, i), h); err != nil {
 				return fmt.Errorf("core: integrating hint %d: %w", i, err)
 			}
@@ -293,12 +296,7 @@ func (sa *StreamAttack) Finish() (*AttackResult, *StreamVerdict, error) {
 		TimeToVerdict:   sa.verdictAt,
 		SamplesIngested: sa.samples,
 	}
-	for _, probs := range sa.res.Probs {
-		if m, ok := sca.TopMargin(probs); ok {
-			sa.verdict.MarginSum += m
-			sa.verdict.MarginCount++
-		}
-	}
+	sa.verdict.MarginSum, sa.verdict.MarginCount = sa.res.MarginSum()
 	reg := obs.Global().Registry()
 	reg.Histogram(MetricStreamTTFHSeconds).Observe(sa.firstHint.Seconds())
 	reg.Histogram(MetricStreamTTVSeconds).Observe(sa.verdictAt.Seconds())

@@ -8,6 +8,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -126,13 +127,16 @@ func assertResultsBitIdentical(t *testing.T, want, got *AttackResult) {
 			t.Fatalf("coefficient %d: %d posterior entries, want %d",
 				i, len(got.Probs[i]), len(want.Probs[i]))
 		}
-		for v, p := range want.Probs[i] {
-			q, ok := got.Probs[i][v]
-			if !ok || math.Float64bits(p) != math.Float64bits(q) {
+		for j, p := range want.Probs[i] {
+			q := got.Probs[i][j]
+			if math.Float64bits(p) != math.Float64bits(q) {
 				t.Fatalf("coefficient %d: P(%d) = %x, want %x (Float64bits)",
-					i, v, math.Float64bits(q), math.Float64bits(p))
+					i, want.Labels[j], math.Float64bits(q), math.Float64bits(p))
 			}
 		}
+	}
+	if !slices.Equal(got.Labels, want.Labels) {
+		t.Fatalf("labels %v, want %v", got.Labels, want.Labels)
 	}
 	wd, err := want.Digest()
 	if err != nil {
@@ -230,6 +234,7 @@ func TestStreamMatchesBatch(t *testing.T) {
 	tampered := &AttackResult{
 		Values: append([]int(nil), full.Values...),
 		Signs:  full.Signs,
+		Labels: full.Labels,
 		Probs:  full.Probs,
 	}
 	tampered.Values[0]++

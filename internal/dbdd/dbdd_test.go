@@ -221,24 +221,60 @@ func TestModularHint(t *testing.T) {
 
 func TestHintFromProbabilities(t *testing.T) {
 	// Certain value: variance 0.
-	h := HintFromProbabilities(map[int]float64{3: 1})
+	h := HintFromProbabilities([]int{1, 3}, []float64{0, 1})
 	if h.Mean != 3 || h.Variance != 0 {
 		t.Errorf("certain hint: %+v", h)
 	}
 	// 50/50 between 1 and 3: mean 2, variance 1.
-	h = HintFromProbabilities(map[int]float64{1: 0.5, 3: 0.5})
+	h = HintFromProbabilities([]int{1, 3}, []float64{0.5, 0.5})
 	if math.Abs(h.Mean-2) > 1e-12 || math.Abs(h.Variance-1) > 1e-12 {
 		t.Errorf("mixed hint: %+v", h)
 	}
 	// Unnormalized tables are renormalized.
-	h = HintFromProbabilities(map[int]float64{1: 2, 3: 2})
+	h = HintFromProbabilities([]int{1, 3}, []float64{2, 2})
 	if math.Abs(h.Mean-2) > 1e-12 {
 		t.Errorf("unnormalized hint: %+v", h)
 	}
 	// Empty: zeroes.
-	h = HintFromProbabilities(nil)
+	h = HintFromProbabilities(nil, nil)
 	if h.Mean != 0 || h.Variance != 0 {
 		t.Errorf("empty hint: %+v", h)
+	}
+}
+
+// TestHintFromProbabilitiesDeterministic: the mean and variance sums run
+// in label order, so repeated calls on one 29-label row (labels −14…14,
+// magnitudes spread over 40 decades so every summation order rounds
+// differently) are bit-identical, and equal to the label-order sums.
+func TestHintFromProbabilitiesDeterministic(t *testing.T) {
+	labels := make([]int, 29)
+	p := make([]float64, 29)
+	x := uint64(0x9E3779B97F4A7C15)
+	for i := range labels {
+		labels[i] = i - 14
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		p[i] = math.Pow(10, -float64(x%4000)/100)
+	}
+	first := HintFromProbabilities(labels, p)
+	var mean, total float64
+	for i, v := range labels {
+		mean += float64(v) * p[i]
+		total += p[i]
+	}
+	mean /= total
+	if math.Float64bits(first.Mean) != math.Float64bits(mean) {
+		t.Fatalf("mean %v, want the label-order sum %v", first.Mean, mean)
+	}
+	for call := 0; call < 2000; call++ {
+		h := HintFromProbabilities(labels, p)
+		if math.Float64bits(h.Mean) != math.Float64bits(first.Mean) ||
+			math.Float64bits(h.Variance) != math.Float64bits(first.Variance) {
+			t.Fatalf("call %d: (mean, variance) = (%x, %x), first call (%x, %x)", call,
+				math.Float64bits(h.Mean), math.Float64bits(h.Variance),
+				math.Float64bits(first.Mean), math.Float64bits(first.Variance))
+		}
 	}
 }
 

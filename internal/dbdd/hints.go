@@ -13,22 +13,23 @@ type CoefficientHint struct {
 	Variance float64
 }
 
-// HintFromProbabilities condenses a probability table over coefficient
-// values into a CoefficientHint, exactly as [31] consumes the attack's
-// per-measurement score tables.
-func HintFromProbabilities(probs map[int]float64) CoefficientHint {
+// HintFromProbabilities condenses a probability table (p[i] is the
+// probability of labels[i]) into a CoefficientHint, exactly as [31]
+// consumes the attack's per-measurement score tables, summing in label
+// order so that equal tables give bit-identical hints.
+func HintFromProbabilities(labels []int, p []float64) CoefficientHint {
 	var mean, total float64
-	for v, p := range probs {
-		mean += float64(v) * p
-		total += p
+	for i, v := range labels {
+		mean += float64(v) * p[i]
+		total += p[i]
 	}
 	if total > 0 {
 		mean /= total
 	}
 	var variance float64
-	for v, p := range probs {
+	for i, v := range labels {
 		d := float64(v) - mean
-		variance += p * d * d
+		variance += p[i] * d * d
 	}
 	if total > 0 {
 		variance /= total

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -278,24 +279,14 @@ func (r *Recorder) RecordCoeff(ev CoeffEvent) {
 func RecordCoeff(ev CoeffEvent) { Global().RecordCoeff(ev) }
 
 // PosteriorStats derives the CoeffEvent quality fields from a posterior
-// over candidate values: the top-two margin, the Shannon entropy in bits,
-// and the 1-based rank of trueValue (len(posterior)+1 when the true value
-// is not a candidate).
-func PosteriorStats(probs map[int]float64, trueValue int) (margin, entropyBits float64, rank int) {
-	// Iterate candidates in sorted-key order, not map order: the entropy
-	// accumulation is a float sum, and summation order must not depend on
-	// Go's randomized map iteration or the journal loses bitwise replay
-	// determinism.
-	keys := make([]int, 0, len(probs))
-	for k := range probs {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
+// row (probs[i] is the probability of labels[i], labels ascending): the
+// top-two margin, the Shannon entropy in bits, summed in label order, and
+// the 1-based rank of trueValue (len(labels)+1 when it is not a label).
+func PosteriorStats(labels []int, probs []float64, trueValue int) (margin, entropyBits float64, rank int) {
 	top1, top2 := math.Inf(-1), math.Inf(-1)
-	pTrue, hasTrue := probs[trueValue]
+	ti, hasTrue := slices.BinarySearch(labels, trueValue)
 	rank = 1
-	for _, k := range keys {
-		p := probs[k]
+	for _, p := range probs {
 		if p > top1 {
 			top1, top2 = p, top1
 		} else if p > top2 {
@@ -304,12 +295,12 @@ func PosteriorStats(probs map[int]float64, trueValue int) (margin, entropyBits f
 		if p > 0 {
 			entropyBits -= p * math.Log2(p)
 		}
-		if hasTrue && p > pTrue {
+		if hasTrue && p > probs[ti] {
 			rank++
 		}
 	}
 	if !hasTrue {
-		rank = len(probs) + 1
+		rank = len(labels) + 1
 	}
 	switch {
 	case math.IsInf(top1, -1):

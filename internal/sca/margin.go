@@ -1,10 +1,10 @@
 package sca
 
-// TopMargin returns P(top1) − P(top2) of one posterior probability table —
-// the per-measurement confidence signal the campaign results aggregate
-// (mean margin drops before accuracy does). ok is false for an empty
-// table, which contributes nothing to an aggregate.
-func TopMargin(probs map[int]float64) (margin float64, ok bool) {
+// TopMargin returns P(top1) − P(top2) of one posterior row — the
+// per-measurement confidence signal the campaign results aggregate (mean
+// margin drops before accuracy does). ok is false for an empty row, which
+// contributes nothing to an aggregate.
+func TopMargin(probs []float64) (margin float64, ok bool) {
 	if len(probs) == 0 {
 		return 0, false
 	}

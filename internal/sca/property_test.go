@@ -138,42 +138,3 @@ func TestClassifyRecoversClassShape(t *testing.T) {
 		}
 	}
 }
-
-func TestCombineProbabilitiesProperties(t *testing.T) {
-	labels := []int{-1, 0, 1}
-	p := map[int]float64{-1: 0.2, 0: 0.5, 1: 0.3}
-	uniform := map[int]float64{-1: 1.0 / 3, 0: 1.0 / 3, 1: 1.0 / 3}
-
-	// Combining with the uniform posterior must be the identity.
-	got := sca.CombineProbabilities(p, uniform)
-	for _, l := range labels {
-		if math.Abs(got[l]-p[l]) > 1e-12 {
-			t.Fatalf("uniform combine changed label %d: %v -> %v", l, p[l], got[l])
-		}
-	}
-
-	// Self-combination squares and renormalizes.
-	got = sca.CombineProbabilities(p, p)
-	z := 0.04 + 0.25 + 0.09
-	want := map[int]float64{-1: 0.04 / z, 0: 0.25 / z, 1: 0.09 / z}
-	sum := 0.0
-	for _, l := range labels {
-		if math.Abs(got[l]-want[l]) > 1e-12 {
-			t.Fatalf("self-combine label %d: %v, want %v", l, got[l], want[l])
-		}
-		sum += got[l]
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Fatalf("combined posterior sums to %v", sum)
-	}
-
-	// A zero product must fall back to uniform, not NaN.
-	a := map[int]float64{-1: 1, 0: 0, 1: 0}
-	b := map[int]float64{-1: 0, 0: 1, 1: 0}
-	got = sca.CombineProbabilities(a, b)
-	for _, l := range labels {
-		if math.Abs(got[l]-1.0/3) > 1e-12 {
-			t.Fatalf("degenerate combine label %d: %v, want 1/3", l, got[l])
-		}
-	}
-}

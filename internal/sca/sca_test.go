@@ -193,23 +193,6 @@ func TestClassifyShortTrace(t *testing.T) {
 	}
 }
 
-func TestCombineProbabilities(t *testing.T) {
-	a := map[int]float64{1: 0.5, 2: 0.5}
-	b := map[int]float64{1: 0.9, 2: 0.1}
-	c := CombineProbabilities(a, b)
-	if math.Abs(c[1]-0.9) > 1e-12 || math.Abs(c[2]-0.1) > 1e-12 {
-		t.Errorf("combine=%v", c)
-	}
-	// Degenerate zero product falls back to uniform.
-	z := CombineProbabilities(map[int]float64{1: 1, 2: 0}, map[int]float64{1: 0, 2: 1})
-	if math.Abs(z[1]-0.5) > 1e-12 {
-		t.Errorf("degenerate combine=%v", z)
-	}
-	if CombineProbabilities() != nil {
-		t.Error("no inputs should give nil")
-	}
-}
-
 func TestConfusionMatrix(t *testing.T) {
 	c := NewConfusion()
 	for i := 0; i < 9; i++ {

@@ -178,42 +178,3 @@ func (t *Templates) Labels() []int {
 	}
 	return out
 }
-
-// CombineProbabilities multiplies independent posteriors (e.g. the V2 value
-// template and the V3 negation template) and renormalizes — the paper's
-// combination of the second and third vulnerability.
-func CombineProbabilities(ps ...map[int]float64) map[int]float64 {
-	if len(ps) == 0 {
-		return nil
-	}
-	labels := make([]int, 0, len(ps[0]))
-	out := map[int]float64{}
-	for l, v := range ps[0] {
-		labels = append(labels, l)
-		out[l] = v
-	}
-	sort.Ints(labels)
-	for _, p := range ps[1:] {
-		for l := range out {
-			out[l] *= p[l]
-		}
-	}
-	// Label-order accumulation keeps the normalization deterministic (float
-	// addition is order-sensitive; map order is not).
-	sum := 0.0
-	for _, l := range labels {
-		sum += out[l]
-	}
-	if sum <= 0 {
-		// Degenerate: fall back to uniform over the label set.
-		u := 1.0 / float64(len(out))
-		for l := range out {
-			out[l] = u
-		}
-		return out
-	}
-	for l := range out {
-		out[l] /= sum
-	}
-	return out
-}

@@ -3,6 +3,10 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -323,5 +327,57 @@ func TestServiceWALRestart(t *testing.T) {
 		if st.State != jobs.StateDone {
 			t.Fatalf("replayed job %s ended %s: %s", id, st.State, st.Error)
 		}
+	}
+}
+
+// TestKeepProbsFabricRoundTrip: an attack campaign with keep_probs embeds
+// the last e2 posterior table with the bytes encoding/json wrote for the
+// map form, and the campaign's mean margin is bit-identical to the map
+// form's (both pinned before the table became dense). The result then
+// decodes on the fabric path to its typed form and re-marshals to the
+// same bytes.
+func TestKeepProbsFabricRoundTrip(t *testing.T) {
+	const (
+		wantProbsSHA = "48a93180b8d9a7e84a0fb8910e8cbbf4c665ddee5e3c180f1f4aebce375a7bc9"
+		wantProbsLen = 412538
+		wantMargin   = 0x3fe9cc27fcba58b4
+	)
+	spec := testAttackSpec()
+	spec.KeepProbs = true
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	r := &Runner{Cache: core.NewTemplateCache(2)}
+	res, err := r.runAttack(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire struct {
+		LastProbs json.RawMessage `json:"last_probs"`
+	}
+	if err := json.Unmarshal(raw, &wire); err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(wire.LastProbs); hex.EncodeToString(sum[:]) != wantProbsSHA || len(wire.LastProbs) != wantProbsLen {
+		t.Fatalf("last_probs: %d bytes, sha256 %x; want %d bytes, sha256 %s", len(wire.LastProbs), sum, wantProbsLen, wantProbsSHA)
+	}
+	if math.Float64bits(res.MeanMargin) != wantMargin {
+		t.Fatalf("mean_margin %#x, want %#x", math.Float64bits(res.MeanMargin), uint64(wantMargin))
+	}
+
+	typed, ok := decodeResultByKind(KindAttack, raw).(*AttackCampaignResult)
+	if !ok {
+		t.Fatalf("fabric decode gave %T, want *AttackCampaignResult", decodeResultByKind(KindAttack, raw))
+	}
+	again, err := json.Marshal(typed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, raw) {
+		t.Fatal("fabric-decoded result re-marshals to different bytes")
 	}
 }

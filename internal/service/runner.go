@@ -83,10 +83,11 @@ type AttackCampaignResult struct {
 	// the last encryption's hints when the spec set estimate_bikz.
 	BaselineBikz float64 `json:"bikz_baseline,omitempty"`
 	HintedBikz   float64 `json:"bikz_with_hints,omitempty"`
-	// LastProbs holds the per-coefficient posterior of the last
-	// encryption's e2 polynomial when the spec asked for it.
-	LastProbs []map[int]float64 `json:"last_probs,omitempty"`
-	ElapsedMS int64             `json:"elapsed_ms"`
+	// LastProbs holds the posterior table (JSON form of
+	// core.PosteriorTable) of the last encryption's e2 polynomial when the
+	// spec asked for it.
+	LastProbs json.RawMessage `json:"last_probs,omitempty"`
+	ElapsedMS int64           `json:"elapsed_ms"`
 }
 
 // DiagnoseCampaignResult is the result payload of a "diagnose" campaign.
@@ -178,18 +179,6 @@ func appendRunRecord(store *history.Store, wd *history.Watchdog, lg *slog.Logger
 				"rel_delta", a.RelDelta, "tolerance", a.Tolerance)
 		}
 	}
-}
-
-// sumTopMargins accumulates the top1−top2 posterior margin over every
-// coefficient's probability table.
-func sumTopMargins(probs []map[int]float64) (sum float64, n int) {
-	for _, table := range probs {
-		if m, ok := sca.TopMargin(table); ok {
-			sum += m
-			n++
-		}
-	}
-	return sum, n
 }
 
 // jobLogger builds the job-scoped logger: the global stream teed with the
@@ -333,15 +322,17 @@ func (r *Runner) runAttack(ctx context.Context, spec *CampaignSpec) (*AttackCamp
 		}
 		score(out.E1, cap.Truth.E1)
 		score(out.E2, cap.Truth.E2)
-		for _, probs := range [][]map[int]float64{out.E1.Probs, out.E2.Probs} {
-			s, n := sumTopMargins(probs)
+		for _, ar := range []*core.AttackResult{out.E1, out.E2} {
+			s, n := ar.MarginSum()
 			marginSum += s
 			marginN += n
 		}
 		core.EmitOutcomeEventsCtx(ctx, out, cap)
 		lastOutcome = out
 		if spec.KeepProbs && run == spec.Encryptions-1 {
-			res.LastProbs = out.E2.Probs
+			if res.LastProbs, err = json.Marshal(core.PosteriorTable{Labels: out.E2.Labels, Rows: out.E2.Probs}); err != nil {
+				return nil, err
+			}
 		}
 	}
 	res.Coefficients = total
