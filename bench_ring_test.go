@@ -1,6 +1,7 @@
-// Ring-backend benchmarks gated by scripts/bench_gate.sh: the production
-// NTT and RNS pointwise multiply at a real ladder parameter set, and the
-// trace-generation path over a wide ladder modulus. Each snapshots into
+// Ring benchmarks gated by scripts/bench_gate.sh: the production NTT (and
+// the testkit reference NTT for comparison) and the RNS ring product at a
+// real ladder parameter set, and the trace-generation path over a wide
+// ladder modulus. Each snapshots into
 // bench_snapshots/ and is compared against its committed baseline in CI.
 package reveal
 
@@ -13,13 +14,12 @@ import (
 	"reveal/internal/testkit"
 )
 
-// benchLadderCtx builds the n=4096 ladder ring (three-prime chain) on the
-// named backend — large enough that lazy reduction and Barrett dominate,
-// small enough for a stable -benchtime 1x CI run.
-func benchLadderCtx(b *testing.B, backend string) *ring.Context {
+// benchLadderCtx builds the n=4096 ladder ring (three-prime chain) — large
+// enough that lazy reduction and Barrett dominate, small enough for a
+// stable -benchtime 1x CI run.
+func benchLadderCtx(b *testing.B) *ring.Context {
 	b.Helper()
-	params := ring.ParamsN4096()
-	ctx, err := ring.NewContextFor(params, backend)
+	ctx, err := ring.NewContextFor(ring.ParamsN4096())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -27,12 +27,10 @@ func benchLadderCtx(b *testing.B, backend string) *ring.Context {
 }
 
 // BenchmarkNTT measures one forward+inverse transform of a full RNS poly
-// (n=4096, three primes) on the production backend, with the reference
-// backend's time reported alongside as a metric so the speedup is visible
-// in the snapshot.
+// (n=4096, three primes) on the production Context.
 func BenchmarkNTT(b *testing.B) {
 	br := snapshotBench(b)
-	ctx := benchLadderCtx(b, ring.RNSBackendName)
+	ctx := benchLadderCtx(b)
 	p := testkit.NewRNG(61).Poly(ctx)
 	coeffs := float64(ctx.N * ctx.Level())
 	b.ResetTimer()
@@ -43,26 +41,32 @@ func BenchmarkNTT(b *testing.B) {
 	br.Metric(coeffs, "coeffs_per_op")
 }
 
-// BenchmarkNTTReference is the strict-reduction oracle on the same
+// BenchmarkNTTReference is the testkit strict-reduction oracle on the same
 // workload — the committed baselines document the production speedup.
 func BenchmarkNTTReference(b *testing.B) {
 	br := snapshotBench(b)
-	ctx := benchLadderCtx(b, ring.ReferenceBackendName)
+	ctx := benchLadderCtx(b)
+	ref, err := testkit.NewRefNTT(ctx.N, ctx.Moduli)
+	if err != nil {
+		b.Fatal(err)
+	}
 	p := testkit.NewRNG(61).Poly(ctx)
 	coeffs := float64(ctx.N * ctx.Level())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ctx.NTT(p)
-		ctx.INTT(p)
+		for j := range p.Coeffs {
+			ref.NTT(j, p.Coeffs[j])
+			ref.INTT(j, p.Coeffs[j])
+		}
 	}
 	br.Metric(coeffs, "coeffs_per_op")
 }
 
 // BenchmarkRNSMul measures a full ring product (two forward NTTs, Barrett
-// pointwise multiply, one inverse) at n=4096 on the production backend.
+// pointwise multiply, one inverse) at n=4096.
 func BenchmarkRNSMul(b *testing.B) {
 	br := snapshotBench(b)
-	ctx := benchLadderCtx(b, ring.RNSBackendName)
+	ctx := benchLadderCtx(b)
 	r := testkit.NewRNG(62)
 	x, y := r.Poly(ctx), r.Poly(ctx)
 	out := ctx.NewPoly()

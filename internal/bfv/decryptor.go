@@ -65,9 +65,24 @@ func (d *Decryptor) Decrypt(ct *Ciphertext) (*Plaintext, error) {
 // where v = [c0 + c1 s + …]_Q − Δ·m (centered). A non-positive budget means
 // decryption is no longer guaranteed correct.
 func (d *Decryptor) NoiseBudget(ct *Ciphertext) (float64, error) {
-	pt, err := d.Decrypt(ct)
+	maxNoise, err := d.MeasureNoise(ct)
 	if err != nil {
 		return 0, err
+	}
+	if maxNoise.Sign() == 0 {
+		maxNoise.SetUint64(1)
+	}
+	// budget = log2(delta) - 1 - log2(maxNoise)
+	return float64(d.params.Delta().BitLen()-maxNoise.BitLen()) - 1, nil
+}
+
+// MeasureNoise returns the actual ‖v‖∞ of a ciphertext (requires the
+// secret key; a test/diagnostic facility mirroring SEAL's invariant-noise
+// inspector).
+func (d *Decryptor) MeasureNoise(ct *Ciphertext) (*big.Int, error) {
+	pt, err := d.Decrypt(ct)
+	if err != nil {
+		return nil, err
 	}
 	ctx := d.params.Context()
 	phase := d.dotWithSecret(ct)
@@ -75,7 +90,7 @@ func (d *Decryptor) NoiseBudget(ct *Ciphertext) (float64, error) {
 	halfQ := new(big.Int).Rsh(bigQ, 1)
 	delta := d.params.Delta()
 
-	maxNoise := new(big.Int)
+	max := new(big.Int)
 	v := new(big.Int)
 	dm := new(big.Int)
 	for i := 0; i < d.params.N; i++ {
@@ -87,14 +102,9 @@ func (d *Decryptor) NoiseBudget(ct *Ciphertext) (float64, error) {
 		if v.Cmp(halfQ) > 0 {
 			v.Sub(bigQ, v)
 		}
-		if v.Cmp(maxNoise) > 0 {
-			maxNoise.Set(v)
+		if v.Cmp(max) > 0 {
+			max.Set(v)
 		}
 	}
-	if maxNoise.Sign() == 0 {
-		maxNoise.SetUint64(1)
-	}
-	// budget = log2(delta) - 1 - log2(maxNoise)
-	budget := float64(delta.BitLen()-maxNoise.BitLen()) - 1
-	return budget, nil
+	return max, nil
 }

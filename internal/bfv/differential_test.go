@@ -196,9 +196,12 @@ func TestGoldenEncrypt(t *testing.T) {
 	if err := bfv.SanityCheckTranscript(params, tr); err != nil {
 		t.Fatal(err)
 	}
+	branchNames := map[sampler.Branch]string{
+		sampler.BranchZero: "zero", sampler.BranchPositive: "positive", sampler.BranchNegative: "negative",
+	}
 	branches := map[string]int{}
 	for _, b := range tr.Branch1 {
-		branches[b.String()]++
+		branches[branchNames[b]]++
 	}
 	testkit.Golden(t, "testdata/golden_encrypt.json", map[string]any{
 		"n":           params.N,

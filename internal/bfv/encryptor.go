@@ -122,8 +122,8 @@ func (e *Encryptor) scaledPlaintext(pt *Plaintext) *ring.Poly {
 	return p
 }
 
-// EncryptZero produces an encryption of zero, used by tests and the
-// rerandomization gadget.
+// EncryptZero produces an encryption of zero, the fresh-noise probe of the
+// noise tests.
 func (e *Encryptor) EncryptZero() (*Ciphertext, error) {
 	pt := e.params.NewPlaintext()
 	return e.Encrypt(pt)
@@ -132,7 +132,8 @@ func (e *Encryptor) EncryptZero() (*Ciphertext, error) {
 // SanityCheckTranscript verifies internal consistency of a transcript
 // against the parameter set (bounds and branch agreement).
 func SanityCheckTranscript(params *Parameters, tr *EncryptionTranscript) error {
-	if len(tr.E1) != params.N || len(tr.E2) != params.N || len(tr.U) != params.N {
+	if len(tr.E1) != params.N || len(tr.E2) != params.N || len(tr.U) != params.N ||
+		len(tr.Branch1) != params.N || len(tr.Branch2) != params.N {
 		return fmt.Errorf("bfv: transcript length mismatch")
 	}
 	max := int64(params.MaxDeviation) + 1

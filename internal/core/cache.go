@@ -114,15 +114,8 @@ func (c *TemplateCache) Get(key string) (*CoefficientClassifier, bool) {
 	return el.Value.(*cacheEntry).cls, true
 }
 
-// Put inserts (or refreshes) a classifier, evicting the least recently
-// used entry when the cache is full.
-func (c *TemplateCache) Put(key string, cls *CoefficientClassifier) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.put(key, cls)
-}
-
-// put inserts with c.mu held.
+// put inserts (or refreshes) a classifier with c.mu held, evicting the
+// least recently used entry when the cache is full.
 func (c *TemplateCache) put(key string, cls *CoefficientClassifier) {
 	if el, ok := c.entries[key]; ok {
 		el.Value.(*cacheEntry).cls = cls

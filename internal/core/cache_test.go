@@ -46,13 +46,13 @@ func TestTemplateCacheKeyStability(t *testing.T) {
 func TestTemplateCacheLRUEviction(t *testing.T) {
 	c := NewTemplateCache(2)
 	a, b, d := &CoefficientClassifier{Length: 1}, &CoefficientClassifier{Length: 2}, &CoefficientClassifier{Length: 3}
-	c.Put("a", a)
-	c.Put("b", b)
+	putLocked(c, "a", a)
+	putLocked(c, "b", b)
 	// Touch "a" so "b" is the LRU victim.
 	if got, ok := c.Get("a"); !ok || got != a {
 		t.Fatal("a missing after put")
 	}
-	c.Put("d", d)
+	putLocked(c, "d", d)
 	if c.Len() != 2 {
 		t.Fatalf("len = %d, want 2", c.Len())
 	}
@@ -172,4 +172,11 @@ func TestGetOrTrainWaiterHonorsContext(t *testing.T) {
 	if err == nil || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
+}
+
+// putLocked inserts cls under key the way GetOrTrain does after training.
+func putLocked(c *TemplateCache, key string, cls *CoefficientClassifier) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.put(key, cls)
 }

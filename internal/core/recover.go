@@ -10,25 +10,11 @@ import (
 	"reveal/internal/ring"
 )
 
-// RecoverU inverts Eq. 2 of the paper: u = (c1 − e2) · p1^−1 in R_q. It
-// also reports whether the recovered u is ternary — the verification oracle
-// that tells the attacker whether the e2 guess was exactly right (u is
-// sampled from R_2, so a wrong e2 yields a non-ternary u with overwhelming
-// probability).
-func RecoverU(params *bfv.Parameters, pk *bfv.PublicKey, ct *bfv.Ciphertext, e2 []int64) (*ring.Poly, bool, error) {
-	o, err := newE2Oracle(params, pk, ct)
-	if err != nil {
-		return nil, false, err
-	}
-	u, err := o.u(e2)
-	if err != nil {
-		return nil, false, err
-	}
-	return u, isTernary(o.ctx, u), nil
-}
-
-// e2Oracle evaluates Eq. 2 for one ciphertext. It inverts p1 once, so
-// RecoverU and every trial of the residual search share one p1^−1.
+// e2Oracle evaluates Eq. 2 of the paper, u = (c1 − e2) · p1^−1 in R_q, for
+// one ciphertext. It inverts p1 once, so every trial of the residual search
+// shares one p1^−1. u is sampled from R_2, so a wrong e2 yields a
+// non-ternary u with overwhelming probability: the ternary check is the
+// oracle that tells the attacker whether an e2 guess was exactly right.
 type e2Oracle struct {
 	ctx  *ring.Context
 	c1   *ring.Poly
@@ -140,16 +126,6 @@ func (s *shifted) poly() *ring.Poly {
 		}
 	}
 	return u
-}
-
-// isTernary reports whether every centered coefficient of p is in {-1,0,1}.
-func isTernary(ctx *ring.Context, p *ring.Poly) bool {
-	for k := 0; k < ctx.N; k++ {
-		if !ternaryCoeff(ctx.Moduli, func(j int) uint64 { return p.Coeffs[j][k] }) {
-			return false
-		}
-	}
-	return true
 }
 
 // ternaryCoeff reports whether one coefficient, given by its residue mod
@@ -334,36 +310,4 @@ func topAlternatives(labels []int, p []float64, chosen, k int) []int64 {
 		out[i] = int64(labels[idx[i]])
 	}
 	return out
-}
-
-// CrossValidateE1 closes the loop on the second error polynomial: with the
-// message and u recovered, e1 = c0 − p0·u − Δ·m is computable exactly, and
-// can be compared against what the single-trace attack classified for the
-// e1 sampling run — an attacker-side self-check requiring no ground truth.
-func CrossValidateE1(params *bfv.Parameters, pk *bfv.PublicKey, ct *bfv.Ciphertext,
-	u *ring.Poly, m *bfv.Plaintext, e1Attack *AttackResult) (agreement float64, err error) {
-	ctx := params.Context()
-	if len(e1Attack.Values) != ctx.N {
-		return 0, fmt.Errorf("core: e1 attack covered %d coefficients, want %d", len(e1Attack.Values), ctx.N)
-	}
-	// e1 = c0 − p0·u − Δ·m.
-	p0u := ctx.NewPoly()
-	ctx.MulPoly(pk.P0, u, p0u)
-	e1 := ctx.NewPoly()
-	ctx.Sub(ct.C[0], p0u, e1)
-	for j, q := range params.Moduli {
-		dj := params.DeltaMod(j)
-		for i, mv := range m.Coeffs {
-			e1.Coeffs[j][i] = modular.Sub(e1.Coeffs[j][i], modular.Mul(dj, mv, q), q)
-		}
-	}
-	match := 0
-	q0 := params.Moduli[0]
-	for i := 0; i < ctx.N; i++ {
-		truth := modular.CenteredRep(e1.Coeffs[0][i], q0)
-		if truth == int64(e1Attack.Values[i]) {
-			match++
-		}
-	}
-	return float64(match) / float64(ctx.N), nil
 }

@@ -60,7 +60,8 @@ func applySubs(base []int64, subs []subst) []int64 {
 }
 
 // checkShifted compares the incremental u of base+subs with Eq. 2 computed
-// directly, by the reference and by RecoverU, and returns the verdict.
+// directly, by the oracle's full inversion and by the reference, and
+// returns the verdict.
 func checkShifted(tb testing.TB, c *recoverCase, base []int64, subs []subst) bool {
 	tb.Helper()
 	o, err := newE2Oracle(c.params, c.pk, c.ct)
@@ -78,15 +79,15 @@ func checkShifted(tb testing.TB, c *recoverCase, base []int64, subs []subst) boo
 	if err != nil {
 		tb.Fatal(err)
 	}
-	direct, ternary, err := RecoverU(c.params, c.pk, c.ct, e2)
+	direct, err := o.u(e2)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	if got := s.poly(); !polyEqual(got, ref) || !polyEqual(direct, ref) {
 		tb.Fatalf("subs %v: u differs from the direct computation", subs)
 	}
-	if got := s.ternary(); got != refTernary || ternary != refTernary {
-		tb.Fatalf("subs %v: incremental verdict %v, RecoverU %v, reference %v", subs, got, ternary, refTernary)
+	if got := s.ternary(); got != refTernary {
+		tb.Fatalf("subs %v: incremental verdict %v, reference %v", subs, got, refTernary)
 	}
 	return refTernary
 }
@@ -288,8 +289,8 @@ func TestRepairAndRecoverSetupErrors(t *testing.T) {
 			}
 		})
 	}
-	if _, _, err := RecoverU(c.params, &zeroP1, c.ct, c.e2); err == nil {
-		t.Error("RecoverU accepted a non-invertible p1")
+	if _, err := newE2Oracle(c.params, &zeroP1, c.ct); err == nil {
+		t.Error("newE2Oracle accepted a non-invertible p1")
 	}
 }
 

@@ -187,9 +187,6 @@ func NewStreamAttackCtx(ctx context.Context, cls *CoefficientClassifier, opts St
 // ingesting and call Finish.
 func (sa *StreamAttack) EarlyExited() bool { return sa.exited }
 
-// Classified returns how many coefficients have been classified so far.
-func (sa *StreamAttack) Classified() int { return len(sa.res.Values) }
-
 // Window returns a writable ingest buffer of n samples for zero-copy
 // decode (see trace.StreamSegmenter.Window); pair with Commit.
 func (sa *StreamAttack) Window(n int) trace.Trace { return sa.seg.Window(n) }

@@ -67,15 +67,6 @@ func NewLWEInstance(n, m int, q float64, sigmaS2, sigmaE2 float64) (*Instance, e
 	return inst, nil
 }
 
-// Dim returns the current lattice dimension (with homogenization).
-func (in *Instance) Dim() int { return in.dim }
-
-// LogVol returns ln(volume) of the current lattice.
-func (in *Instance) LogVol() float64 { return in.logVol }
-
-// HintCount returns how many hints have been integrated.
-func (in *Instance) HintCount() int { return in.nHints }
-
 // PerfectHint integrates ⟨s, e_i⟩ = value: the coordinate becomes known,
 // the lattice dimension drops by one, and — because the coordinate vector
 // e_i is primitive in the dual of the primal embedding lattice — the
@@ -111,32 +102,6 @@ func (in *Instance) ApproximateHint(coord int, value, epsVar float64) error {
 	s2 := in.Var[coord]
 	in.Mu[coord] = (in.Mu[coord]*epsVar + value*s2) / (s2 + epsVar)
 	in.Var[coord] = s2 * epsVar / (s2 + epsVar)
-	in.nHints++
-	return nil
-}
-
-// ModularHint integrates ⟨s, e_i⟩ ≡ value (mod k). When k is large
-// relative to the prior deviation the hint is effectively perfect;
-// otherwise the posterior is (approximately) the prior restricted to a
-// residue class, whose variance we take as the conditional variance of a
-// uniform residue offset, min(σ², k²/12).
-func (in *Instance) ModularHint(coord int, value float64, k int) error {
-	if err := in.checkCoord(coord); err != nil {
-		return err
-	}
-	if k < 2 {
-		return fmt.Errorf("dbdd: modular hint modulus %d must be ≥ 2", k)
-	}
-	sigma := math.Sqrt(in.Var[coord])
-	if float64(k) >= 12*sigma {
-		// The residue class contains a single plausible value.
-		return in.PerfectHint(coord, value)
-	}
-	residVar := float64(k) * float64(k) / 12
-	if residVar < in.Var[coord] {
-		in.Var[coord] = residVar
-	}
-	in.Mu[coord] = value
 	in.nHints++
 	return nil
 }
@@ -273,21 +238,4 @@ func (in *Instance) Clone() *Instance {
 		nHints:     in.nHints,
 	}
 	return out
-}
-
-// ShortVectorHint integrates the fourth hint type of [31]: knowledge that
-// v ∈ Λ is an unusually short lattice vector lets the attacker project it
-// out, shrinking the lattice: dim → dim−1 and vol → vol/‖v‖ (for primitive
-// v). Used to strip the structural q-vectors of q-ary instances.
-func (in *Instance) ShortVectorHint(norm float64) error {
-	if norm <= 0 {
-		return fmt.Errorf("dbdd: short vector norm must be positive, got %v", norm)
-	}
-	if in.dim <= 2 {
-		return fmt.Errorf("dbdd: cannot shrink a dimension-%d lattice", in.dim)
-	}
-	in.dim--
-	in.logVol -= math.Log(norm)
-	in.nHints++
-	return nil
 }

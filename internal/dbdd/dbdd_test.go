@@ -67,8 +67,8 @@ func TestFullHintsCollapseSecurity(t *testing.T) {
 	if bikz > 40 {
 		t.Errorf("full-hints bikz %.2f, want a complete break (paper: 12.2)", bikz)
 	}
-	if in.Dim() != 1025 {
-		t.Errorf("dim=%d want 1025 after 1024 perfect hints", in.Dim())
+	if in.dim != 1025 {
+		t.Errorf("dim=%d want 1025 after 1024 perfect hints", in.dim)
 	}
 }
 
@@ -147,20 +147,20 @@ func TestPerfectHintBookkeeping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.Dim() != 9 {
-		t.Fatalf("dim=%d", in.Dim())
+	if in.dim != 9 {
+		t.Fatalf("dim=%d", in.dim)
 	}
-	lv := in.LogVol()
+	lv := in.logVol
 	if math.Abs(lv-4*math.Log(97)) > 1e-12 {
 		t.Errorf("logVol=%v", lv)
 	}
 	if err := in.PerfectHint(5, 2); err != nil {
 		t.Fatal(err)
 	}
-	if in.Dim() != 8 || in.LogVol() != lv {
+	if in.dim != 8 || in.logVol != lv {
 		t.Error("perfect hint must drop dim and keep volume")
 	}
-	if in.HintCount() != 1 {
+	if in.nHints != 1 {
 		t.Error("hint count wrong")
 	}
 	if err := in.PerfectHint(5, 2); err == nil {
@@ -192,30 +192,6 @@ func TestApproximateHintConditioning(t *testing.T) {
 	}
 	if err := in.ApproximateHint(1, 0, -1); err == nil {
 		t.Error("negative variance should fail")
-	}
-}
-
-func TestModularHint(t *testing.T) {
-	in, err := NewLWEInstance(1, 1, 97, 1, 10.24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Large modulus relative to σ=3.2: perfect.
-	if err := in.ModularHint(1, 2, 64); err != nil {
-		t.Fatal(err)
-	}
-	if !in.eliminated[1] {
-		t.Error("wide modular hint should be perfect")
-	}
-	// Small modulus: variance clamp to k²/12.
-	if err := in.ModularHint(0, 1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(in.Var[0]-4.0/12) > 1e-12 {
-		t.Errorf("modular variance=%v want %v", in.Var[0], 4.0/12)
-	}
-	if err := in.ModularHint(0, 0, 1); err == nil {
-		t.Error("modulus 1 should fail")
 	}
 }
 
@@ -334,7 +310,7 @@ func TestGuessBestCoordinate(t *testing.T) {
 	if err := in.ApproximateHint(2, 1.98, 0.0001); err != nil {
 		t.Fatal(err)
 	}
-	g, err := in.GuessBestCoordinate()
+	g, err := in.GuessBestCoordinateIn(0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +331,7 @@ func TestGuessBestCoordinate(t *testing.T) {
 			}
 		}
 	}
-	if _, err := in.GuessBestCoordinate(); err == nil {
+	if _, err := in.GuessBestCoordinateIn(0, 4); err == nil {
 		t.Error("no coordinates left should fail")
 	}
 }
@@ -380,7 +356,7 @@ func TestCompareWithHints(t *testing.T) {
 		t.Error("bits must shrink with hints")
 	}
 	// The original instance must be untouched by CompareWithHints.
-	if in.HintCount() != 0 {
+	if in.nHints != 0 {
 		t.Error("CompareWithHints mutated the baseline")
 	}
 }
@@ -435,57 +411,5 @@ func TestGuessBestCoordinateIn(t *testing.T) {
 	}
 	if _, err := in.GuessBestCoordinateIn(0, 99); err == nil {
 		t.Error("hi out of range should fail")
-	}
-}
-
-func TestShortVectorHint(t *testing.T) {
-	in := sealInstance(t)
-	base, err := in.EstimateBikz()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Projecting out one q-vector (norm q): loses a dimension and a factor
-	// q of volume. For a large instance the effect is tiny but must not
-	// increase hardness dramatically; the bookkeeping must be exact.
-	dimBefore, volBefore := in.Dim(), in.LogVol()
-	if err := in.ShortVectorHint(132120577); err != nil {
-		t.Fatal(err)
-	}
-	if in.Dim() != dimBefore-1 {
-		t.Error("dim not reduced")
-	}
-	if math.Abs((volBefore-in.LogVol())-math.Log(132120577)) > 1e-9 {
-		t.Error("volume not divided by the norm")
-	}
-	after, err := in.EstimateBikz()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(after-base) > 25 {
-		t.Errorf("single short-vector hint moved bikz too much: %.2f -> %.2f", base, after)
-	}
-	// A *short* vector (norm ≪ vol^(1/d)) helps: hardness must not grow.
-	in2 := sealInstance(t)
-	if err := in2.ShortVectorHint(2); err != nil {
-		t.Fatal(err)
-	}
-	b2, err := in2.EstimateBikz()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b2 > base+1e-6 {
-		t.Errorf("short-vector hint increased hardness: %.2f -> %.2f", base, b2)
-	}
-	// Validation.
-	if err := in2.ShortVectorHint(0); err == nil {
-		t.Error("non-positive norm should fail")
-	}
-	tiny, err := NewLWEInstance(1, 1, 7, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiny.dim = 2
-	if err := tiny.ShortVectorHint(3); err == nil {
-		t.Error("dimension floor should be enforced")
 	}
 }

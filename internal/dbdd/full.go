@@ -48,15 +48,6 @@ func NewFullLWEInstance(n, m int, q float64, sigmaS2, sigmaE2 float64) (*FullIns
 	return in, nil
 }
 
-// Dim returns the current lattice dimension.
-func (in *FullInstance) Dim() int { return in.dim }
-
-// Remaining returns how many coordinates are still unknown.
-func (in *FullInstance) Remaining() int { return len(in.coords) }
-
-// HintCount returns the number of integrated hints.
-func (in *FullInstance) HintCount() int { return in.nHints }
-
 // indexOf translates an original coordinate to the current index.
 func (in *FullInstance) indexOf(orig int) (int, error) {
 	for i, c := range in.coords {

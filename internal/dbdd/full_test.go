@@ -71,11 +71,11 @@ func TestFullMatchesDiagonalOnCoordinateHints(t *testing.T) {
 	if math.Abs(b1-b2) > 0.05 {
 		t.Errorf("hinted mismatch: full %.4f vs diag %.4f", b1, b2)
 	}
-	if full.Dim() != diag.Dim() {
-		t.Errorf("dims diverged: %d vs %d", full.Dim(), diag.Dim())
+	if full.dim != diag.dim {
+		t.Errorf("dims diverged: %d vs %d", full.dim, diag.dim)
 	}
-	if full.Remaining() != 188 {
-		t.Errorf("remaining=%d want 188", full.Remaining())
+	if len(full.coords) != 188 {
+		t.Errorf("remaining=%d want 188", len(full.coords))
 	}
 }
 
@@ -100,7 +100,7 @@ func TestVectorHintReducesHardness(t *testing.T) {
 	if after >= base {
 		t.Errorf("vector hint did not reduce hardness: %.3f -> %.3f", base, after)
 	}
-	if in.HintCount() != 1 {
+	if in.nHints != 1 {
 		t.Error("hint count wrong")
 	}
 }

@@ -315,31 +315,6 @@ func FormatTable2(rows []Table2Row) string {
 	return b.String()
 }
 
-// FormatTable3 renders Table III next to the paper's numbers.
-func FormatTable3(r *Table3Result) string {
-	var b strings.Builder
-	b.WriteString("Table III — cost of attack with/without hints (SEAL-128)\n")
-	fmt.Fprintf(&b, "%-32s %10s %14s\n", "", "measured", "paper")
-	fmt.Fprintf(&b, "%-32s %10.2f %14s\n", "attack without hints (bikz)", r.WithoutHintsBikz, "382.25")
-	fmt.Fprintf(&b, "%-32s %10.2f %14s\n", "attack with hints (bikz)", r.WithHintsBikz, "12.2")
-	fmt.Fprintf(&b, "%-32s %10.1f %14s\n", "security without hints (bits)", r.WithoutHintsBits, "128")
-	fmt.Fprintf(&b, "%-32s %10.1f %14s\n", "security with hints (bits)", r.WithHintsBits, "4.4")
-	return b.String()
-}
-
-// FormatTable4 renders Table IV next to the paper's numbers.
-func FormatTable4(r *Table4Result) string {
-	var b strings.Builder
-	b.WriteString("Table IV — branch-only adversary (SEAL-128)\n")
-	fmt.Fprintf(&b, "%-36s %10s %14s\n", "", "measured", "paper")
-	fmt.Fprintf(&b, "%-36s %10.2f %14s\n", "attack without hints (bikz)", r.WithoutHintsBikz, "382.25")
-	fmt.Fprintf(&b, "%-36s %10.2f %14s\n", "attack with hints (bikz)", r.WithHintsBikz, "253.29")
-	fmt.Fprintf(&b, "%-36s %10.2f %14s\n", "attack with hints & guesses (bikz)", r.WithGuessesBikz, "252.83")
-	fmt.Fprintf(&b, "%-36s %10d %14s\n", "number of guesses", r.NumberOfGuesses, "1")
-	fmt.Fprintf(&b, "%-36s %9.0f%% %14s\n", "success probability", 100*r.SuccessProbability, "20%")
-	return b.String()
-}
-
 // CrossDeviceResult quantifies template portability: profile on device A,
 // attack device A (baseline) and a process-variation sibling B (§V-B of
 // the paper: "we limit our attack to a single device; cross-device attacks

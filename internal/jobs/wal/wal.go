@@ -464,20 +464,6 @@ func (l *Log) Snapshot(jobSeq uint64, jobs []JobImage) error {
 	return nil
 }
 
-// Seq reports the last assigned WAL sequence number.
-func (l *Log) Seq() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
-}
-
-// Segments reports how many WAL segment files are currently on disk.
-func (l *Log) Segments() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.segments)
-}
-
 // Close fsyncs and closes the active segment. Appends are rejected
 // afterwards.
 func (l *Log) Close() error {

@@ -87,7 +87,7 @@ func TestSnapshotReplayEquivalence(t *testing.T) {
 	if err := snapLog2.Snapshot(mid.JobSeq, mid.Jobs); err != nil {
 		t.Fatal(err)
 	}
-	if got := snapLog2.Segments(); got != 0 {
+	if got := len(snapLog2.segments); got != 0 {
 		t.Fatalf("segments after covering snapshot = %d, want 0", got)
 	}
 	appendAll(t, snapLog2, half2)
@@ -158,7 +158,7 @@ func TestTornTailSkippedAndSealed(t *testing.T) {
 	if _, err := l2.Append(Record{Type: RecSubmit, Job: JobImage{ID: "job-000004", State: "queued"}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := l2.Segments(); got != 2 {
+	if got := len(l2.segments); got != 2 {
 		t.Fatalf("segments after torn-tail append = %d, want 2 (sealed + fresh)", got)
 	}
 	if err := l2.Close(); err != nil {
@@ -183,13 +183,13 @@ func TestSegmentRotation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := l.Segments(); got < 2 {
+	if got := len(l.segments); got < 2 {
 		t.Fatalf("segments = %d, want rotation past 1", got)
 	}
 	if err := l.Snapshot(1, []JobImage{last}); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.Segments(); got != 0 {
+	if got := len(l.segments); got != 0 {
 		t.Fatalf("segments after snapshot = %d, want 0", got)
 	}
 	if err := l.Close(); err != nil {

@@ -130,20 +130,6 @@ func (b *Basis) dotRows(i, j int) *big.Int {
 	return acc
 }
 
-// DotVec returns <row_i, v> for an external vector.
-func (b *Basis) DotVec(i int, v []*big.Int) (*big.Int, error) {
-	if len(v) != b.NumCols() {
-		return nil, fmt.Errorf("lattice: vector length %d, want %d", len(v), b.NumCols())
-	}
-	acc := new(big.Int)
-	tmp := new(big.Int)
-	for c := range v {
-		tmp.Mul(b.rows[i][c], v[c])
-		acc.Add(acc, tmp)
-	}
-	return acc, nil
-}
-
 // gso computes the exact Gram-Schmidt data: mu[i][j] for j<i and the
 // squared norms B[i] of the orthogonalized vectors, as rationals.
 func (b *Basis) gso() (mu [][]*big.Rat, B []*big.Rat, err error) {

@@ -51,13 +51,6 @@ func TestBasisBasics(t *testing.T) {
 	if b.NormSq(0).Int64() != 5 {
 		t.Error("NormSq wrong")
 	}
-	dot, err := b.DotVec(0, []*big.Int{big.NewInt(2), big.NewInt(3)})
-	if err != nil || dot.Int64() != 8 {
-		t.Errorf("DotVec=%v err=%v", dot, err)
-	}
-	if _, err := b.DotVec(0, []*big.Int{big.NewInt(1)}); err == nil {
-		t.Error("length mismatch should fail")
-	}
 	if _, err := NewBasisFromInt64(nil); err == nil {
 		t.Error("empty basis should fail")
 	}

@@ -3,9 +3,8 @@ package linalg
 import "testing"
 
 // Layer benchmarks for the dense kernels on the template-attack hot path:
-// matrix product (LDA, covariance work), matrix-vector product (DBDD
-// covariance updates), and the Cholesky solve (Mahalanobis distances),
-// cached versus fresh.
+// matrix product (covariance work) and the Cholesky solve (Mahalanobis
+// distances), cached versus fresh.
 //
 //	go test -bench . ./internal/linalg
 
@@ -22,21 +21,6 @@ func benchmarkMul(b *testing.B, n int) {
 
 func BenchmarkMul12(b *testing.B)  { benchmarkMul(b, 12) }
 func BenchmarkMul128(b *testing.B) { benchmarkMul(b, 128) }
-
-func benchmarkMulVec(b *testing.B, n int) {
-	m := seededSPD(n, 3)
-	v := seededVec(n, 4)
-	dst := make([]float64, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := m.MulVecInto(dst, v); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMulVec24(b *testing.B)   { benchmarkMulVec(b, 24) }
-func BenchmarkMulVec1024(b *testing.B) { benchmarkMulVec(b, 1024) }
 
 // BenchmarkSolveFresh is the pre-optimization scoring pattern: factor and
 // allocate on every solve.
@@ -59,7 +43,7 @@ func BenchmarkSolveFresh(b *testing.B) {
 func BenchmarkSolveCached(b *testing.B) {
 	m := seededSPD(24, 5)
 	rhs := seededVec(24, 6)
-	f, err := NewCholFactor(m)
+	f, err := newCholFactor(m)
 	if err != nil {
 		b.Fatal(err)
 	}

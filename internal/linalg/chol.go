@@ -23,16 +23,6 @@ type CholFactor struct {
 	logDet float64
 }
 
-// NewCholFactor factors m (symmetric positive definite) and prepares the
-// cached solve structures.
-func NewCholFactor(m *Matrix) (*CholFactor, error) {
-	l, err := Cholesky(m)
-	if err != nil {
-		return nil, err
-	}
-	return CholFactorOf(l), nil
-}
-
 // CholFactorOf wraps an existing lower-triangular Cholesky factor (as
 // produced by Cholesky) without re-factoring.
 func CholFactorOf(l *Matrix) *CholFactor {
@@ -53,18 +43,8 @@ func CholFactorOf(l *Matrix) *CholFactor {
 	return f
 }
 
-// N returns the dimension of the factored matrix.
-func (f *CholFactor) N() int { return f.n }
-
 // LogDet returns log(det(m)) of the factored matrix.
 func (f *CholFactor) LogDet() float64 { return f.logDet }
-
-// Lower returns a copy of the lower-triangular factor as a Matrix.
-func (f *CholFactor) Lower() *Matrix {
-	m := NewMatrix(f.n, f.n)
-	copy(m.Data, f.lower)
-	return m
-}
 
 // ForwardInto solves L y = b by forward substitution into the
 // caller-owned y, i.e. y = L⁻¹b. This is the whitening transform of the
@@ -114,16 +94,6 @@ func (f *CholFactor) SolveInto(x, y, b []float64) error {
 		x[i] = s / f.diag[i]
 	}
 	return nil
-}
-
-// Solve solves m x = b, allocating fresh buffers.
-func (f *CholFactor) Solve(b []float64) ([]float64, error) {
-	x := make([]float64, f.n)
-	y := make([]float64, f.n)
-	if err := f.SolveInto(x, y, b); err != nil {
-		return nil, err
-	}
-	return x, nil
 }
 
 // Inverse returns m^-1, computed column by column through the cached

@@ -35,6 +35,25 @@ func seededVec(n int, seed uint64) []float64 {
 	return v
 }
 
+// newCholFactor factors m and wraps the factor, the way the template
+// trainer does.
+func newCholFactor(m *Matrix) (*CholFactor, error) {
+	l, err := Cholesky(m)
+	if err != nil {
+		return nil, err
+	}
+	return CholFactorOf(l), nil
+}
+
+// solve solves m x = b through f with fresh buffers.
+func solve(f *CholFactor, b []float64) ([]float64, error) {
+	x, y := make([]float64, f.n), make([]float64, f.n)
+	if err := f.SolveInto(x, y, b); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
 // TestCholFactorSolveBitwiseIdentical: the cached factor's solve must agree
 // with a fresh Cholesky + SolveCholesky to exact float equality — the
 // determinism contract the template scorer and the replay selftest rely on.
@@ -45,7 +64,7 @@ func TestCholFactorSolveBitwiseIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		f, err := NewCholFactor(m)
+		f, err := newCholFactor(m)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -55,7 +74,7 @@ func TestCholFactorSolveBitwiseIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := f.Solve(b)
+			got, err := solve(f, b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,17 +107,17 @@ func TestCholFactorSolveBitwiseIdentical(t *testing.T) {
 }
 
 func TestCholFactorSolveShapeErrors(t *testing.T) {
-	f, err := NewCholFactor(seededSPD(4, 9))
+	f, err := newCholFactor(seededSPD(4, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Solve(make([]float64, 5)); err == nil {
+	if _, err := solve(f, make([]float64, 5)); err == nil {
 		t.Fatal("want rhs length error")
 	}
 	if err := f.SolveInto(make([]float64, 3), make([]float64, 4), make([]float64, 4)); err == nil {
 		t.Fatal("want buffer length error")
 	}
-	if _, err := NewCholFactor(NewMatrix(3, 3)); err == nil {
+	if _, err := newCholFactor(NewMatrix(3, 3)); err == nil {
 		t.Fatal("want not-positive-definite error for the zero matrix")
 	}
 }
@@ -106,7 +125,7 @@ func TestCholFactorSolveShapeErrors(t *testing.T) {
 func TestCholFactorInverse(t *testing.T) {
 	for _, n := range []int{1, 4, 12} {
 		m := seededSPD(n, uint64(n)+5)
-		f, err := NewCholFactor(m)
+		f, err := newCholFactor(m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,56 +144,6 @@ func TestCholFactorInverse(t *testing.T) {
 		}
 		if d := MaxAbsDiff(inv, luInv); d > 1e-9 {
 			t.Fatalf("n=%d: Cholesky inverse deviates from LU inverse by %g", n, d)
-		}
-	}
-}
-
-func TestCholFactorLowerRoundTrip(t *testing.T) {
-	m := seededSPD(6, 42)
-	l, err := Cholesky(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := CholFactorOf(l)
-	got := f.Lower()
-	if d := MaxAbsDiff(got, l); d != 0 {
-		t.Fatalf("Lower() deviates from the wrapped factor by %g", d)
-	}
-}
-
-// TestMulVecIntoMatchesMulVec: the unrolled kernel must be bitwise equal to
-// the plain index-order loop.
-func TestMulVecIntoMatchesMulVec(t *testing.T) {
-	for _, shape := range [][2]int{{1, 1}, {3, 5}, {7, 4}, {12, 12}, {5, 33}} {
-		rows, cols := shape[0], shape[1]
-		m := NewMatrix(rows, cols)
-		s := uint64(rows*31 + cols)
-		for i := range m.Data {
-			s = s*6364136223846793005 + 1442695040888963407
-			m.Data[i] = float64(int64(s>>33)) / float64(1<<31)
-		}
-		v := seededVec(cols, uint64(cols))
-		// Reference: the historical simple loop.
-		want := make([]float64, rows)
-		for i := 0; i < rows; i++ {
-			sum := 0.0
-			for j := 0; j < cols; j++ {
-				sum += m.At(i, j) * v[j]
-			}
-			want[i] = sum
-		}
-		got, err := m.MulVec(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-				t.Fatalf("%dx%d: MulVec[%d] = %x, want %x", rows, cols, i,
-					math.Float64bits(got[i]), math.Float64bits(want[i]))
-			}
-		}
-		if err := m.MulVecInto(make([]float64, rows+1), v); err == nil {
-			t.Fatal("want destination length error")
 		}
 	}
 }
@@ -230,7 +199,7 @@ func TestMulBlockedMatchesNaive(t *testing.T) {
 func TestCholFactorForwardInto(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 12, 28} {
 		m := seededSPD(n, uint64(n)*31)
-		f, err := NewCholFactor(m)
+		f, err := newCholFactor(m)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -251,11 +220,14 @@ func TestCholFactorForwardInto(t *testing.T) {
 		for i := range d {
 			d[i] = u[i] - v[i]
 		}
-		md, err := f.Solve(d)
+		md, err := solve(f, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := Dot(d, md)
+		want := 0.0
+		for i := range d {
+			want += d[i] * md[i]
+		}
 		wv := make([]float64, n)
 		if err := f.ForwardInto(wv, v); err != nil {
 			t.Fatal(err)
@@ -269,7 +241,7 @@ func TestCholFactorForwardInto(t *testing.T) {
 			t.Fatalf("n=%d: whitened distance %v, Mahalanobis %v", n, got, want)
 		}
 	}
-	f, err := NewCholFactor(seededSPD(4, 9))
+	f, err := newCholFactor(seededSPD(4, 9))
 	if err != nil {
 		t.Fatal(err)
 	}

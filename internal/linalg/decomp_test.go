@@ -36,7 +36,7 @@ func TestCholeskyReconstruction(t *testing.T) {
 }
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
+	m := fromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
 	if _, err := Cholesky(m); !errors.Is(err, ErrNotPositiveDefinite) {
 		t.Errorf("want ErrNotPositiveDefinite, got %v", err)
 	}
@@ -46,7 +46,7 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 }
 
 func TestLogDetSPD(t *testing.T) {
-	m, _ := FromRows([][]float64{{4, 0}, {0, 9}})
+	m := fromRows([][]float64{{4, 0}, {0, 9}})
 	ld, err := LogDetSPD(m)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestLUSolveResidual(t *testing.T) {
 }
 
 func TestDetKnown(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 2}, {3, 4}})
+	m := fromRows([][]float64{{1, 2}, {3, 4}})
 	d, err := Det(m)
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestDetKnown(t *testing.T) {
 	if math.Abs(d-(-2)) > 1e-12 {
 		t.Errorf("det=%v want -2", d)
 	}
-	sing, _ := FromRows([][]float64{{1, 2}, {2, 4}})
+	sing := fromRows([][]float64{{1, 2}, {2, 4}})
 	d, err = Det(sing)
 	if err != nil || d != 0 {
 		t.Errorf("singular det=%v err=%v want 0, nil", d, err)
@@ -156,7 +156,7 @@ func TestInverse(t *testing.T) {
 			t.Errorf("n=%d: m*m^-1 differs from I by %g", n, d)
 		}
 	}
-	sing, _ := FromRows([][]float64{{1, 2}, {2, 4}})
+	sing := fromRows([][]float64{{1, 2}, {2, 4}})
 	if _, err := Inverse(sing); !errors.Is(err, ErrSingular) {
 		t.Errorf("singular inverse: want ErrSingular, got %v", err)
 	}
@@ -167,7 +167,7 @@ func TestInverse(t *testing.T) {
 
 func TestDetSignFromPivoting(t *testing.T) {
 	// A permutation matrix with one swap has determinant -1.
-	m, _ := FromRows([][]float64{{0, 1}, {1, 0}})
+	m := fromRows([][]float64{{0, 1}, {1, 0}})
 	d, err := Det(m)
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +186,7 @@ func TestRegularizeSPD(t *testing.T) {
 }
 
 func TestEigSymDiagonal(t *testing.T) {
-	m, _ := FromRows([][]float64{{3, 0}, {0, 1}})
+	m := fromRows([][]float64{{3, 0}, {0, 1}})
 	vals, vecs, err := EigSym(m, 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +263,7 @@ func TestEigSymValidation(t *testing.T) {
 	if _, _, err := EigSym(NewMatrix(2, 3), 0, 0); err == nil {
 		t.Error("non-square should fail")
 	}
-	asym, _ := FromRows([][]float64{{1, 5}, {0, 1}})
+	asym := fromRows([][]float64{{1, 5}, {0, 1}})
 	if _, _, err := EigSym(asym, 0, 0); err == nil {
 		t.Error("asymmetric should fail")
 	}

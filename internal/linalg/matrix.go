@@ -34,22 +34,6 @@ func Identity(n int) *Matrix {
 	return m
 }
 
-// FromRows builds a matrix from a slice of equal-length rows.
-func FromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0), nil
-	}
-	cols := len(rows[0])
-	m := NewMatrix(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("linalg: row %d has %d entries, want %d", i, len(r), cols)
-		}
-		copy(m.Data[i*cols:(i+1)*cols], r)
-	}
-	return m, nil
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -63,13 +47,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	out := make([]float64, m.Cols)
-	copy(out, m.Data[i*m.Cols:(i+1)*m.Cols])
-	return out
-}
-
 // Transpose returns the transposed matrix.
 func (m *Matrix) Transpose() *Matrix {
 	t := NewMatrix(m.Cols, m.Rows)
@@ -79,30 +56,6 @@ func (m *Matrix) Transpose() *Matrix {
 		}
 	}
 	return t
-}
-
-// Add returns m + other.
-func (m *Matrix) Add(other *Matrix) (*Matrix, error) {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		return nil, fmt.Errorf("linalg: shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, other.Rows, other.Cols)
-	}
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] += other.Data[i]
-	}
-	return out, nil
-}
-
-// Sub returns m - other.
-func (m *Matrix) Sub(other *Matrix) (*Matrix, error) {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		return nil, fmt.Errorf("linalg: shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, other.Rows, other.Cols)
-	}
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] -= other.Data[i]
-	}
-	return out, nil
 }
 
 // Scale returns s*m.
@@ -163,43 +116,22 @@ func (m *Matrix) Mul(other *Matrix) (*Matrix, error) {
 	return out, nil
 }
 
-// MulVec returns the matrix-vector product m * v.
+// MulVec returns the matrix-vector product m * v, each row's dot product
+// accumulated in index order.
 func (m *Matrix) MulVec(v []float64) ([]float64, error) {
-	out := make([]float64, m.Rows)
-	if err := m.MulVecInto(out, v); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// MulVecInto computes m * v into dst without allocating. dst must have
-// length m.Rows. The row dot products are unrolled but keep a single
-// accumulator in index order, so results are bitwise identical to MulVec's
-// historical loop.
-func (m *Matrix) MulVecInto(dst, v []float64) error {
 	if m.Cols != len(v) {
-		return fmt.Errorf("linalg: cannot multiply %dx%d by vector of length %d", m.Rows, m.Cols, len(v))
-	}
-	if len(dst) != m.Rows {
-		return fmt.Errorf("linalg: destination length %d, want %d", len(dst), m.Rows)
+		return nil, fmt.Errorf("linalg: cannot multiply %dx%d by vector of length %d", m.Rows, m.Cols, len(v))
 	}
 	n := m.Cols
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*n : (i+1)*n]
+	out := make([]float64, m.Rows)
+	for i := range out {
 		sum := 0.0
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			sum += row[j] * v[j]
-			sum += row[j+1] * v[j+1]
-			sum += row[j+2] * v[j+2]
-			sum += row[j+3] * v[j+3]
+		for j, x := range m.Data[i*n : (i+1)*n] {
+			sum += x * v[j]
 		}
-		for ; j < n; j++ {
-			sum += row[j] * v[j]
-		}
-		dst[i] = sum
+		out[i] = sum
 	}
-	return nil
+	return out, nil
 }
 
 // Dot returns the inner product of two equal-length vectors.
@@ -212,22 +144,6 @@ func Dot(a, b []float64) float64 {
 		sum += a[i] * b[i]
 	}
 	return sum
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	return math.Sqrt(Dot(v, v))
-}
-
-// OuterProduct returns the matrix a b^T.
-func OuterProduct(a, b []float64) *Matrix {
-	m := NewMatrix(len(a), len(b))
-	for i, ai := range a {
-		for j, bj := range b {
-			m.Set(i, j, ai*bj)
-		}
-	}
-	return m
 }
 
 // MaxAbsDiff returns the largest absolute element-wise difference between

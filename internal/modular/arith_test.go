@@ -85,17 +85,6 @@ func TestInverse(t *testing.T) {
 	}
 }
 
-func TestGCD(t *testing.T) {
-	cases := []struct{ a, b, want uint64 }{
-		{0, 0, 0}, {0, 5, 5}, {5, 0, 5}, {12, 18, 6}, {17, 13, 1}, {48, 36, 12},
-	}
-	for _, c := range cases {
-		if got := GCD(c.a, c.b); got != c.want {
-			t.Errorf("GCD(%d,%d)=%d want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
 func TestValidateModulus(t *testing.T) {
 	if err := ValidateModulus(0); err == nil {
 		t.Error("modulus 0 should be rejected")
@@ -118,13 +107,10 @@ func TestBarrettMatchesMul(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b.Modulus() != q {
-			t.Fatalf("Modulus()=%d want %d", b.Modulus(), q)
-		}
 		for i := 0; i < 2000; i++ {
 			x := rng.Uint64()
-			if got, want := b.Reduce(x), x%q; got != want {
-				t.Fatalf("Barrett(%d).Reduce(%d)=%d want %d", q, x, got, want)
+			if got, want := b.MulMod(x, 1), x%q; got != want {
+				t.Fatalf("Barrett(%d).MulMod(%d, 1)=%d want %d", q, x, got, want)
 			}
 			y := rng.Uint64() % q
 			xr := x % q
@@ -246,72 +232,3 @@ func BenchmarkMulShoup(b *testing.B) {
 }
 
 var sink uint64
-
-func TestMontgomeryMatchesMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for _, q := range []uint64{3, 257, 12289, 132120577, (1 << 61) - 1} {
-		m, err := NewMontgomery(q)
-		if err != nil {
-			t.Fatalf("q=%d: %v", q, err)
-		}
-		if m.Modulus() != q {
-			t.Fatal("modulus accessor wrong")
-		}
-		for i := 0; i < 3000; i++ {
-			a := rng.Uint64() % q
-			b := rng.Uint64() % q
-			if got, want := m.MulMod(a, b), Mul(a, b, q); got != want {
-				t.Fatalf("q=%d: MulMod(%d,%d)=%d want %d", q, a, b, got, want)
-			}
-		}
-		// Form conversions round-trip.
-		for _, a := range []uint64{0, 1, q - 1, q / 2} {
-			if m.FromMont(m.ToMont(a)) != a {
-				t.Fatalf("q=%d: Montgomery round trip failed for %d", q, a)
-			}
-		}
-	}
-}
-
-func TestMontgomeryRejectsEvenModulus(t *testing.T) {
-	if _, err := NewMontgomery(1 << 20); err == nil {
-		t.Error("even modulus should fail")
-	}
-	if _, err := NewMontgomery(0); err == nil {
-		t.Error("zero modulus should fail")
-	}
-}
-
-// Property: Montgomery-form multiplication is associative and matches the
-// plain product after conversion.
-func TestMontgomeryPropertiesQuick(t *testing.T) {
-	const q = 132120577
-	m, err := NewMontgomery(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prop := func(a, b, c uint64) bool {
-		a, b, c = a%q, b%q, c%q
-		am, bm, cm := m.ToMont(a), m.ToMont(b), m.ToMont(c)
-		lhs := m.MulMont(m.MulMont(am, bm), cm)
-		rhs := m.MulMont(am, m.MulMont(bm, cm))
-		if lhs != rhs {
-			return false
-		}
-		return m.FromMont(lhs) == Mul(Mul(a, b, q), c, q)
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func BenchmarkMontgomeryMulMont(b *testing.B) {
-	const q = 132120577
-	m, _ := NewMontgomery(q)
-	x := m.ToMont(987654)
-	y := m.ToMont(123456789 % q)
-	for i := 0; i < b.N; i++ {
-		x = m.MulMont(x, y)
-	}
-	sink = x
-}

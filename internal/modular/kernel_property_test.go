@@ -1,8 +1,7 @@
 package modular
 
-// Property tests for the production reduction kernels the RNS backend is
-// built on: Montgomery multiplication against math/big over random large
-// primes, Barrett exactness at the classic boundary values, and the lazy
+// Property tests for the production reduction kernels the ring Context is
+// built on: Barrett exactness at the classic boundary values, and the lazy
 // Shoup product's range/congruence contract.
 
 import (
@@ -26,34 +25,7 @@ func randomPrimes(t *testing.T) []uint64 {
 	return primes
 }
 
-// TestMontgomeryMatchesBigInt: MulMod through the Montgomery domain must
-// equal math/big multiplication mod p for random operands over random
-// large primes, and To/FromMont must be inverse bijections.
-func TestMontgomeryMatchesBigInt(t *testing.T) {
-	rng := rand.New(rand.NewSource(0x6019))
-	for _, q := range randomPrimes(t) {
-		m, err := NewMontgomery(q)
-		if err != nil {
-			t.Fatalf("NewMontgomery(%d): %v", q, err)
-		}
-		bq := new(big.Int).SetUint64(q)
-		prod := new(big.Int)
-		for iter := 0; iter < 200; iter++ {
-			a := rng.Uint64() % q
-			b := rng.Uint64() % q
-			want := prod.Mul(new(big.Int).SetUint64(a), new(big.Int).SetUint64(b)).
-				Mod(prod, bq).Uint64()
-			if got := m.MulMod(a, b); got != want {
-				t.Fatalf("q=%d: Montgomery MulMod(%d, %d) = %d, big.Int %d", q, a, b, got, want)
-			}
-			if rt := m.FromMont(m.ToMont(a)); rt != a {
-				t.Fatalf("q=%d: FromMont(ToMont(%d)) = %d", q, a, rt)
-			}
-		}
-	}
-}
-
-// TestBarrettBoundaryExactness: Reduce must be exact at the reduction
+// TestBarrettBoundaryExactness: MulMod(x, 1) must be exact at the reduction
 // boundaries 0, p-1, p, p+1, 2p-1, 2p and the top of the input range, and
 // MulMod must match math/big at boundary operand pairs.
 func TestBarrettBoundaryExactness(t *testing.T) {
@@ -64,8 +36,8 @@ func TestBarrettBoundaryExactness(t *testing.T) {
 		}
 		inputs := []uint64{0, 1, q - 1, q, q + 1, 2*q - 1, 2 * q, 3 * q, ^uint64(0)}
 		for _, x := range inputs {
-			if got, want := br.Reduce(x), x%q; got != want {
-				t.Fatalf("q=%d: Barrett Reduce(%d) = %d, want %d", q, x, got, want)
+			if got, want := br.MulMod(x, 1), x%q; got != want {
+				t.Fatalf("q=%d: Barrett MulMod(%d, 1) = %d, want %d", q, x, got, want)
 			}
 		}
 		bq := new(big.Int).SetUint64(q)

@@ -1,9 +1,6 @@
 package modular
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // IsPrime reports whether n is prime using a deterministic Miller-Rabin
 // test with a witness set proven exhaustive for all n < 2^64.
@@ -188,12 +185,4 @@ func FromCentered(v int64, q uint64) uint64 {
 	}
 	neg := uint64(-v) % q
 	return Neg(neg, q)
-}
-
-// Log2Floor returns floor(log2(x)) for x > 0 and 0 for x == 0.
-func Log2Floor(x uint64) int {
-	if x == 0 {
-		return 0
-	}
-	return bits.Len64(x) - 1
 }

@@ -147,12 +147,3 @@ func TestDistinctPrimeFactors(t *testing.T) {
 		}
 	}
 }
-
-func TestLog2Floor(t *testing.T) {
-	cases := map[uint64]int{0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 1023: 9, 1024: 10}
-	for n, want := range cases {
-		if got := Log2Floor(n); got != want {
-			t.Errorf("Log2Floor(%d)=%d want %d", n, got, want)
-		}
-	}
-}

@@ -200,16 +200,6 @@ func (l *EventLog) WaitSince(ctx context.Context, after int64, max int) ([]Servi
 	}
 }
 
-// LastSeq returns the most recently assigned sequence number.
-func (l *EventLog) LastSeq() int64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
-}
-
 // SinkDropped reports how many events the asynchronous sink dropped because
 // its writer fell behind.
 func (l *EventLog) SinkDropped() int64 {

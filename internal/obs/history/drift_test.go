@@ -173,30 +173,12 @@ func TestWatchdogBaselinePersistence(t *testing.T) {
 	}
 }
 
-func TestWatchdogPin(t *testing.T) {
+// Metric-less records and a nil watchdog are ignored.
+func TestWatchdogIgnoresMetricless(t *testing.T) {
 	w, err := NewWatchdog(DriftConfig{Window: 2, MinRuns: 2, Tolerance: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Pin("attack"); err == nil {
-		t.Fatal("Pin with no observed runs must fail")
-	}
-	w.Observe(record("attack", map[string]float64{"value_accuracy": 0.9}))
-	w.Observe(record("attack", map[string]float64{"value_accuracy": 0.9}))
-	// Quality settles lower; the drop alerts once...
-	w.Observe(record("attack", map[string]float64{"value_accuracy": 0.7}))
-	w.Observe(record("attack", map[string]float64{"value_accuracy": 0.7}))
-	// ...until the operator accepts the new level as the reference.
-	if err := w.Pin("attack"); err != nil {
-		t.Fatal(err)
-	}
-	if base := w.Baselines()["attack"]; math.Abs(base["value_accuracy"]-0.7) > 1e-12 {
-		t.Fatalf("re-pinned baseline = %v", base)
-	}
-	if alerts := w.Observe(record("attack", map[string]float64{"value_accuracy": 0.7})); len(alerts) != 0 {
-		t.Fatalf("post-pin steady state fired: %+v", alerts)
-	}
-	// The sleep kind (no metrics) is ignored entirely.
 	if alerts := w.Observe(RunRecord{Kind: "sleep"}); alerts != nil {
 		t.Fatalf("metric-less record fired: %+v", alerts)
 	}

@@ -371,13 +371,6 @@ func (s *Store) Len() int {
 	return len(s.records)
 }
 
-// LastSeq reports the most recently assigned sequence number.
-func (s *Store) LastSeq() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq
-}
-
 // Skipped reports how many malformed lines the Open replay ignored.
 func (s *Store) Skipped() int {
 	s.mu.Lock()

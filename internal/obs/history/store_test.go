@@ -95,8 +95,8 @@ func TestStoreReplayAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if s2.Len() != 5 || s2.LastSeq() != 5 {
-		t.Fatalf("reopened store: len %d lastSeq %d, want 5/5", s2.Len(), s2.LastSeq())
+	if s2.Len() != 5 || lastSeq(s2) != 5 {
+		t.Fatalf("reopened store: len %d lastSeq %d, want 5/5", s2.Len(), lastSeq(s2))
 	}
 	// Sequence numbering continues where the previous incarnation stopped.
 	rec, err := s2.Append(testRecord("attack", "", 0.9))
@@ -256,8 +256,8 @@ func TestStoreConcurrentAppendQuery(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if s.LastSeq() != writers*perWriter {
-		t.Fatalf("lastSeq = %d, want %d", s.LastSeq(), writers*perWriter)
+	if lastSeq(s) != writers*perWriter {
+		t.Fatalf("lastSeq = %d, want %d", lastSeq(s), writers*perWriter)
 	}
 }
 
@@ -278,4 +278,11 @@ func TestStoreClosedAppendFails(t *testing.T) {
 	if _, err := s.Append(testRecord("attack", "", 1)); err == nil {
 		t.Fatal("append after Close must fail")
 	}
+}
+
+// lastSeq returns the most recently assigned sequence number of s.
+func lastSeq(s *Store) int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.seq
 }

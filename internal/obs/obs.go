@@ -126,9 +126,6 @@ func SetGlobal(rec *Recorder) { global.Store(rec) }
 // disabled (the default).
 func Global() *Recorder { return global.Load() }
 
-// Enabled reports whether a global recorder is installed.
-func Enabled() bool { return global.Load() != nil }
-
 // Log returns the global structured logger (a discard logger when
 // observability is disabled), so pipeline code can log unconditionally.
 func Log() *slog.Logger { return global.Load().Logger() }

@@ -108,11 +108,11 @@ func TestRecordCoeffJournalAndMetrics(t *testing.T) {
 	SetGlobal(rec)
 	defer SetGlobal(nil)
 
-	RecordCoeff(CoeffEvent{
+	Global().RecordCoeff(CoeffEvent{
 		Poly: "e2", Index: 3, True: -2, Predicted: -2, Sign: -1,
 		Correct: true, Margin: 0.9, EntropyBits: 0.4, Rank: 1,
 	})
-	RecordCoeff(CoeffEvent{
+	Global().RecordCoeff(CoeffEvent{
 		Poly: "e2", Index: 4, True: 1, Predicted: 2, Sign: 1,
 		Correct: false, Margin: 0.1, EntropyBits: 2.1, Rank: 2,
 	})
@@ -185,7 +185,7 @@ func TestRunFinishWritesEventArtifacts(t *testing.T) {
 	sp := StartSpan("classify")
 	sp.AddItems(2)
 	sp.End()
-	RecordCoeff(CoeffEvent{Poly: "e1", Index: 0, True: 1, Predicted: 1, Correct: true, Rank: 1})
+	Global().RecordCoeff(CoeffEvent{Poly: "e1", Index: 0, True: 1, Predicted: 1, Correct: true, Rank: 1})
 	if err := run.Finish(); err != nil {
 		t.Fatal(err)
 	}

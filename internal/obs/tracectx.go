@@ -24,9 +24,6 @@ type TraceContext struct {
 	SpanID string
 }
 
-// Valid reports whether the context carries a trace ID.
-func (tc TraceContext) Valid() bool { return tc.TraceID != "" }
-
 // traceCtxKey is the context key for TraceContext values.
 type traceCtxKey struct{}
 

@@ -180,10 +180,3 @@ func (s *Synthesizer) HandleEvent(e rv32.Event) {
 // the synthesizer's own buffer, handed over without a copy: take it once
 // the run is over, and render no further events into the synthesizer.
 func (s *Synthesizer) Samples() []float64 { return s.samples }
-
-// HWByte returns the Hamming weight of the low byte of v; exposed for
-// leakage-model analysis in tests and ablations.
-func HWByte(v uint32) int { return bits.OnesCount8(uint8(v)) }
-
-// HW32 returns the 32-bit Hamming weight.
-func HW32(v uint32) int { return bits.OnesCount32(v) }

@@ -236,12 +236,6 @@ func TestNoiseStatistics(t *testing.T) {
 	}
 }
 
-func TestHWHelpers(t *testing.T) {
-	if HWByte(0x1ff) != 8 || HW32(0xffffffff) != 32 || HW32(0) != 0 {
-		t.Error("HW helpers wrong")
-	}
-}
-
 // Unequal bit weights must separate equal-HW values — the property that
 // lets templates distinguish coefficients 1, 2 and 4.
 func TestBitWeightedLeakageSeparatesEqualHW(t *testing.T) {

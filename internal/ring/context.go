@@ -4,11 +4,12 @@
 // decryptor and evaluator need. The coefficient layout follows SEAL:
 // coefficient i of residue j lives at Coeffs[j][i].
 //
-// The arithmetic kernels live behind the Backend interface: the "reference"
-// backend is the original strict-reduction implementation kept as the
-// differential oracle, the "rns" backend is the production lazy-reduction
-// kernel. A Context binds validated Parameters to one backend instance plus
-// the CRT reconstruction constants.
+// A Context binds validated Parameters to per-modulus NTT tables, Barrett
+// constants and the CRT reconstruction constants. Its transforms are the
+// lazy-reduction Harvey NTT and its pointwise product is a Barrett
+// multiply; every value visible through a Poly is a canonical residue in
+// [0, q). The strict-reduction reference the kernels are differentially
+// tested against lives in internal/testkit.
 package ring
 
 import (
@@ -19,43 +20,47 @@ import (
 )
 
 // Context holds precomputed state for R_q with a fixed degree n and a fixed
-// chain of NTT-friendly prime moduli, bound to one arithmetic backend.
+// chain of NTT-friendly prime moduli.
 type Context struct {
-	N       int      // polynomial degree, a power of two
-	Moduli  []uint64 // coefficient modulus chain q_0 ... q_{k-1}
-	params  *Parameters
-	backend Backend
-	bigQ    *big.Int   // product of all moduli
-	qiHat   []*big.Int // Q / q_i
-	qiHatIn []uint64   // (Q/q_i)^-1 mod q_i
+	N       int               // polynomial degree, a power of two
+	Moduli  []uint64          // coefficient modulus chain q_0 ... q_{k-1}
+	tables  []nttTable        // one per modulus
+	barrett []modular.Barrett // one per modulus
+	bigQ    *big.Int          // product of all moduli
+	qiHat   []*big.Int        // Q / q_i
+	qiHatIn []uint64          // (Q/q_i)^-1 mod q_i
 }
 
-// NewContext validates the degree and moduli and builds a context on the
-// default backend. Each modulus must be prime, distinct, and ≡ 1 (mod 2n).
+// NewContext validates the degree and moduli and builds a context. Each
+// modulus must be prime, distinct, and ≡ 1 (mod 2n).
 func NewContext(n int, moduli []uint64) (*Context, error) {
 	params, err := NewParameters(n, moduli)
 	if err != nil {
 		return nil, err
 	}
-	return NewContextFor(params, DefaultBackendName)
+	return NewContextFor(params)
 }
 
-// NewContextFor builds a context for already-validated parameters on the
-// named backend — the entry point the cross-backend differential matrix
-// uses to run identical workloads through every registered kernel.
-func NewContextFor(params *Parameters, backendName string) (*Context, error) {
+// NewContextFor builds a context for already-validated parameters.
+func NewContextFor(params *Parameters) (*Context, error) {
 	if params == nil {
 		return nil, fmt.Errorf("ring: nil parameters")
 	}
-	backend, err := NewBackend(backendName, params)
-	if err != nil {
-		return nil, err
-	}
 	ctx := &Context{
-		N:       params.N,
-		Moduli:  append([]uint64(nil), params.Moduli...),
-		params:  params,
-		backend: backend,
+		N:      params.N,
+		Moduli: append([]uint64(nil), params.Moduli...),
+	}
+	for _, q := range params.Moduli {
+		tbl, err := newNTTTable(params.N, q)
+		if err != nil {
+			return nil, err
+		}
+		br, err := modular.NewBarrett(q)
+		if err != nil {
+			return nil, err
+		}
+		ctx.tables = append(ctx.tables, tbl)
+		ctx.barrett = append(ctx.barrett, br)
 	}
 	// CRT constants.
 	ctx.bigQ = big.NewInt(1)
@@ -75,12 +80,6 @@ func NewContextFor(params *Parameters, backendName string) (*Context, error) {
 	}
 	return ctx, nil
 }
-
-// Params returns the validated parameters this context was built from.
-func (c *Context) Params() *Parameters { return c.params }
-
-// Backend returns the arithmetic backend bound to this context.
-func (c *Context) Backend() Backend { return c.backend }
 
 // Level returns the number of moduli in the chain.
 func (c *Context) Level() int { return len(c.Moduli) }
@@ -104,7 +103,7 @@ func (c *Context) NTT(p *Poly) {
 		return
 	}
 	for j := range p.Coeffs {
-		c.backend.NTT(j, p.Coeffs[j])
+		c.tables[j].forward(p.Coeffs[j])
 	}
 	p.InNTT = true
 }
@@ -115,7 +114,7 @@ func (c *Context) INTT(p *Poly) {
 		return
 	}
 	for j := range p.Coeffs {
-		c.backend.INTT(j, p.Coeffs[j])
+		c.tables[j].inverse(p.Coeffs[j])
 	}
 	p.InNTT = false
 }

@@ -11,9 +11,8 @@ import (
 
 // Parameters is a validated ring configuration: a power-of-two degree and a
 // chain of distinct NTT-friendly primes. It is the single place degree and
-// modulus-chain invariants are checked; every backend and every Context is
-// built from an already-validated Parameters value, so the kernels
-// themselves never re-validate.
+// modulus-chain invariants are checked; every Context is built from an
+// already-validated Parameters value, so the kernels never re-validate.
 type Parameters struct {
 	// N is the polynomial degree, a power of two >= 2.
 	N int
@@ -145,16 +144,8 @@ func mustLadder(n int) *Parameters {
 	return p
 }
 
-// ParamsN1024 returns the paper's legacy configuration: n=1024 with the
-// single 27-bit prime 132120577.
-func ParamsN1024() *Parameters { return mustLadder(1024) }
-
 // ParamsN2048 returns the SEAL default for n=2048: one 54-bit prime.
 func ParamsN2048() *Parameters { return mustLadder(2048) }
 
 // ParamsN4096 returns the SEAL default for n=4096: a 36+36+37-bit chain.
 func ParamsN4096() *Parameters { return mustLadder(4096) }
-
-// ParamsN8192 returns the SEAL default for n=8192: a 43+43+44+44+44-bit
-// chain.
-func ParamsN8192() *Parameters { return mustLadder(8192) }

@@ -97,8 +97,8 @@ func TestLadderShape(t *testing.T) {
 			}
 		}
 	}
-	if ParamsN1024().Moduli[0] != LegacyQ {
-		t.Fatalf("ParamsN1024 modulus %d, want legacy %d", ParamsN1024().Moduli[0], LegacyQ)
+	if p := mustLadder(1024); p.Moduli[0] != LegacyQ {
+		t.Fatalf("n=1024 ladder modulus %d, want legacy %d", p.Moduli[0], LegacyQ)
 	}
 	if _, err := LadderParams(512); err == nil {
 		t.Fatal("LadderParams accepted an unsupported degree")
@@ -107,7 +107,7 @@ func TestLadderShape(t *testing.T) {
 	for _, tc := range []struct {
 		n int
 		p *Parameters
-	}{{2048, ParamsN2048()}, {4096, ParamsN4096()}, {8192, ParamsN8192()}} {
+	}{{2048, ParamsN2048()}, {4096, ParamsN4096()}, {8192, mustLadder(8192)}} {
 		if tc.p.N != tc.n {
 			t.Fatalf("ParamsN%d returned degree %d", tc.n, tc.p.N)
 		}

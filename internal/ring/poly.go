@@ -15,9 +15,6 @@ type Poly struct {
 	InNTT  bool
 }
 
-// Context returns the ring context this polynomial belongs to.
-func (p *Poly) Context() *Context { return p.ctx }
-
 // Clone returns a deep copy of p.
 func (p *Poly) Clone() *Poly {
 	c := p.ctx.NewPoly()
@@ -26,14 +23,6 @@ func (p *Poly) Clone() *Poly {
 	}
 	c.InNTT = p.InNTT
 	return c
-}
-
-// Copy overwrites p with the contents of src (same context required).
-func (p *Poly) Copy(src *Poly) {
-	for j := range p.Coeffs {
-		copy(p.Coeffs[j], src.Coeffs[j])
-	}
-	p.InNTT = src.InNTT
 }
 
 // Zero resets all coefficients to zero, staying in the current domain.
@@ -74,8 +63,11 @@ func (c *Context) checkSameDomain(op string, ps ...*Poly) {
 // Add sets out = a + b (component-wise, any domain, but both the same).
 func (c *Context) Add(a, b, out *Poly) {
 	c.checkSameDomain("Add", a, b)
-	for j := range c.Moduli {
-		c.backend.AddVec(j, a.Coeffs[j], b.Coeffs[j], out.Coeffs[j])
+	for j, q := range c.Moduli {
+		aj, bj, oj := a.Coeffs[j], b.Coeffs[j], out.Coeffs[j]
+		for i := range oj {
+			oj[i] = modular.Add(aj[i], bj[i], q)
+		}
 	}
 	out.InNTT = a.InNTT
 }
@@ -83,26 +75,37 @@ func (c *Context) Add(a, b, out *Poly) {
 // Sub sets out = a - b.
 func (c *Context) Sub(a, b, out *Poly) {
 	c.checkSameDomain("Sub", a, b)
-	for j := range c.Moduli {
-		c.backend.SubVec(j, a.Coeffs[j], b.Coeffs[j], out.Coeffs[j])
+	for j, q := range c.Moduli {
+		aj, bj, oj := a.Coeffs[j], b.Coeffs[j], out.Coeffs[j]
+		for i := range oj {
+			oj[i] = modular.Sub(aj[i], bj[i], q)
+		}
 	}
 	out.InNTT = a.InNTT
 }
 
 // Neg sets out = -a.
 func (c *Context) Neg(a, out *Poly) {
-	for j := range c.Moduli {
-		c.backend.NegVec(j, a.Coeffs[j], out.Coeffs[j])
+	for j, q := range c.Moduli {
+		aj, oj := a.Coeffs[j], out.Coeffs[j]
+		for i := range oj {
+			oj[i] = modular.Neg(aj[i], q)
+		}
 	}
 	out.InNTT = a.InNTT
 }
 
-// MulCoeffwise sets out = a ⊙ b (component-wise product). For ring
+// MulCoeffwise sets out = a ⊙ b (component-wise product) through the
+// precomputed Barrett state, with no hardware divide. For ring
 // multiplication both operands must be in the NTT domain.
 func (c *Context) MulCoeffwise(a, b, out *Poly) {
 	c.checkSameDomain("MulCoeffwise", a, b)
 	for j := range c.Moduli {
-		c.backend.MulVec(j, a.Coeffs[j], b.Coeffs[j], out.Coeffs[j])
+		br := &c.barrett[j]
+		aj, bj, oj := a.Coeffs[j], b.Coeffs[j], out.Coeffs[j]
+		for i := range oj {
+			oj[i] = br.MulMod(aj[i], bj[i])
+		}
 	}
 	out.InNTT = a.InNTT
 }
@@ -117,25 +120,6 @@ func (c *Context) MulPoly(a, b, out *Poly) {
 	c.NTT(bn)
 	c.MulCoeffwise(an, bn, out)
 	c.INTT(out)
-}
-
-// MulScalar sets out = s * a for a scalar s (reduced per modulus).
-func (c *Context) MulScalar(a *Poly, s uint64, out *Poly) {
-	for j, q := range c.Moduli {
-		c.backend.MulScalarVec(j, a.Coeffs[j], s%q, out.Coeffs[j])
-	}
-	out.InNTT = a.InNTT
-}
-
-// AddScalar sets out = a + s (s added to the constant coefficient if in
-// coefficient domain; to every slot if in NTT domain the caller is
-// responsible for meaning). Here it adds s to every residue of coefficient
-// 0 in coefficient representation.
-func (c *Context) AddScalar(a *Poly, s uint64, out *Poly) {
-	out.Copy(a)
-	for j, q := range c.Moduli {
-		out.Coeffs[j][0] = modular.Add(out.Coeffs[j][0], s%q, q)
-	}
 }
 
 // SetSigned fills p (coefficient domain) from centered signed coefficients;

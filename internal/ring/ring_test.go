@@ -190,27 +190,6 @@ func TestConvolutionTheorem(t *testing.T) {
 	}
 }
 
-func TestMulScalarAddScalar(t *testing.T) {
-	ctx := testContext(t, 8)
-	rng := rand.New(rand.NewSource(7))
-	a := randPoly(rng, ctx)
-	out := ctx.NewPoly()
-	ctx.MulScalar(a, 3, out)
-	for i := range out.Coeffs[0] {
-		want := modular.Mul(a.Coeffs[0][i], 3, paperQ)
-		if out.Coeffs[0][i] != want {
-			t.Fatalf("MulScalar coeff %d wrong", i)
-		}
-	}
-	ctx.AddScalar(a, 5, out)
-	if out.Coeffs[0][0] != modular.Add(a.Coeffs[0][0], 5, paperQ) {
-		t.Error("AddScalar constant term wrong")
-	}
-	if out.Coeffs[0][1] != a.Coeffs[0][1] {
-		t.Error("AddScalar must not touch other coefficients")
-	}
-}
-
 func TestSetSignedAndInfNorm(t *testing.T) {
 	ctx := testContext(t, 8)
 	p := ctx.NewPoly()
@@ -288,16 +267,9 @@ func TestPolyCloneCopyZeroEqual(t *testing.T) {
 	if a.Equal(b) {
 		t.Error("clone should be independent")
 	}
-	b.Copy(a)
-	if !a.Equal(b) {
-		t.Error("copy failed")
-	}
 	b.Zero()
 	if !b.Equal(ctx.NewPoly()) {
 		t.Error("zero failed")
-	}
-	if a.Context() != ctx {
-		t.Error("context accessor wrong")
 	}
 	c := a.Clone()
 	ctx.NTT(c)
@@ -355,6 +327,17 @@ func BenchmarkMulPoly1024(b *testing.B) {
 	}
 }
 
+// scaled returns s·p, coefficient by coefficient.
+func scaled(ctx *Context, p *Poly, s uint64) *Poly {
+	out := p.Clone()
+	for j, q := range ctx.Moduli {
+		for i := range out.Coeffs[j] {
+			out.Coeffs[j][i] = modular.Mul(out.Coeffs[j][i], s%q, q)
+		}
+	}
+	return out
+}
+
 // NTT is linear: NTT(a + s·b) = NTT(a) + s·NTT(b).
 func TestNTTLinearityQuick(t *testing.T) {
 	ctx := testContext(t, 32)
@@ -364,8 +347,7 @@ func TestNTTLinearityQuick(t *testing.T) {
 		a := randPoly(rng, ctx)
 		b := randPoly(rng, ctx)
 		// lhs = NTT(a + s*b)
-		sb := ctx.NewPoly()
-		ctx.MulScalar(b, s, sb)
+		sb := scaled(ctx, b, s)
 		sum := ctx.NewPoly()
 		ctx.Add(a, sb, sum)
 		ctx.NTT(sum)
@@ -373,8 +355,7 @@ func TestNTTLinearityQuick(t *testing.T) {
 		an, bn := a.Clone(), b.Clone()
 		ctx.NTT(an)
 		ctx.NTT(bn)
-		sbn := ctx.NewPoly()
-		ctx.MulScalar(bn, s, sbn)
+		sbn := scaled(ctx, bn, s)
 		rhs := ctx.NewPoly()
 		ctx.Add(an, sbn, rhs)
 		return sum.Equal(rhs)

@@ -13,30 +13,14 @@ var abiNames = [32]string{
 	"t3", "t4", "t5", "t6",
 }
 
-// Disasm renders a decoded instruction as assembler text using ABI
-// register names. Branch and jump targets are shown as relative offsets;
-// use DisasmAt to render re-assemblable absolute targets.
-func (in Instr) Disasm() string {
-	return in.disasm(nil)
-}
-
-// DisasmAt renders the instruction as it sits at address pc: branch and
-// jump targets become absolute addresses, so the output re-assembles to
-// the identical encoding.
+// DisasmAt renders a decoded instruction, as it sits at address pc, as
+// assembler text using ABI register names. Branch and jump targets are
+// absolute addresses, so the output re-assembles to the identical encoding.
 func (in Instr) DisasmAt(pc uint32) string {
-	return in.disasm(&pc)
-}
-
-func (in Instr) disasm(pc *uint32) string {
 	rd := abiNames[in.Rd]
 	rs1 := abiNames[in.Rs1]
 	rs2 := abiNames[in.Rs2]
-	target := func() string {
-		if pc == nil {
-			return fmt.Sprintf("%+d", in.Imm)
-		}
-		return fmt.Sprintf("%#x", *pc+uint32(in.Imm))
-	}
+	target := func() string { return fmt.Sprintf("%#x", pc+uint32(in.Imm)) }
 	switch in.Op {
 	case OpLUI, OpAUIPC:
 		return fmt.Sprintf("%-6s %s, %#x", in.Op, rd, uint32(in.Imm)>>12)

@@ -21,7 +21,6 @@ func decodeProperty(word uint32) error {
 		return fmt.Errorf("word %#08x decoded to out-of-range register (rd=%d rs1=%d rs2=%d)",
 			word, in.Rd, in.Rs1, in.Rs2)
 	}
-	_ = in.Disasm()
 	_ = in.DisasmAt(0x1000)
 	// Decode must be deterministic.
 	again, err2 := Decode(word)

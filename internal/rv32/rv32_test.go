@@ -591,8 +591,8 @@ func TestDisasm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := in.Disasm(); got != c.want {
-			t.Errorf("Disasm(%s) = %q want %q", c.src, got, c.want)
+		if got := in.DisasmAt(0); got != c.want {
+			t.Errorf("DisasmAt(%s) = %q want %q", c.src, got, c.want)
 		}
 	}
 }

@@ -2,10 +2,8 @@
 // a deterministic seedable PRNG, uniform and ternary polynomial samplers,
 // and — centrally for this reproduction — the ClippedNormalDistribution of
 // SEAL v3.2, whose sign-dependent post-processing is the side channel the
-// RevEAL attack exploits. A CDT sampler (the technique analyzed by prior
-// work the paper distinguishes itself from) and a SEAL v3.6-style
-// branch-free sampler (the patched code path) are provided for baselines
-// and defense ablations.
+// RevEAL attack exploits. A SEAL v3.6-style branch-free sign assignment
+// (the patched code path) is provided for the defense ablations.
 package sampler
 
 import "math"

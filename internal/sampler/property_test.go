@@ -1,13 +1,14 @@
 package sampler_test
 
 // Property-based distribution tests driven by testkit's seeded generators:
-// higher moments of the clipped normal, CDT-vs-Box-Muller agreement, and
-// sign-assignment round trips checked against the math/big reference.
+// higher moments of the clipped normal and sign-assignment round trips
+// checked against the math/big reference.
 
 import (
 	"math"
 	"testing"
 
+	"reveal/internal/modular"
 	"reveal/internal/sampler"
 	"reveal/internal/testkit"
 )
@@ -67,39 +68,6 @@ func TestClippedNormalHigherMoments(t *testing.T) {
 	}
 }
 
-// TestCDTMatchesClippedNormal: the table-driven CDT sampler and the
-// Box-Muller clipped normal target the same distribution; their first two
-// moments must agree within sampling error.
-func TestCDTMatchesClippedNormal(t *testing.T) {
-	sigma := sampler.DefaultSigma
-	cdt, err := sampler.NewCDT(sigma, 12.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cn := sampler.DefaultClippedNormal()
-	if cdt.Tail() != cn.MaxValue() {
-		t.Fatalf("CDT tail %d != clipped normal max %d", cdt.Tail(), cn.MaxValue())
-	}
-	prngA := testkit.NewRNG(31).PRNG()
-	prngB := testkit.NewRNG(32).PRNG()
-	const n = 200000
-	a := make([]float64, n)
-	b := make([]float64, n)
-	for i := 0; i < n; i++ {
-		a[i] = float64(cdt.Sample(prngA))
-		v, _ := cn.Sample(prngB)
-		b[i] = float64(v)
-	}
-	meanA, varA, _, _ := moments(a)
-	meanB, varB, _, _ := moments(b)
-	if math.Abs(meanA-meanB) > 0.05 {
-		t.Errorf("means differ: CDT %.4f vs clipped normal %.4f", meanA, meanB)
-	}
-	if math.Abs(varA-varB)/varB > 0.05 {
-		t.Errorf("variances differ: CDT %.4f vs clipped normal %.4f", varA, varB)
-	}
-}
-
 // TestAssignSignedRoundTrip: storing a centered noise value into RNS
 // residues and center-lifting it back must be the identity, and the
 // residues must match the math/big reference for every modulus.
@@ -119,14 +87,8 @@ func TestAssignSignedRoundTrip(t *testing.T) {
 			if residues[j] != want {
 				t.Fatalf("noise %d mod %d: residue %d, ref %d", noise, q, residues[j], want)
 			}
-			if got := sampler.CenterLift(residues[j], q); got != noise {
-				t.Fatalf("CenterLift(AssignSigned(%d)) = %d mod %d", noise, got, q)
-			}
-		}
-		branchless := sampler.AssignSignedBranchless(noise, moduli)
-		for j := range moduli {
-			if residues[j] != branchless[j] {
-				t.Fatalf("noise %d: branchy %d != branchless %d", noise, residues[j], branchless[j])
+			if got := modular.CenteredRep(residues[j], q); got != noise {
+				t.Fatalf("CenteredRep(AssignSigned(%d)) = %d mod %d", noise, got, q)
 			}
 		}
 		// The recorded branch is the paper's V1 ground truth; it must

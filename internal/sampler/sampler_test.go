@@ -3,7 +3,8 @@ package sampler
 import (
 	"math"
 	"testing"
-	"testing/quick"
+
+	"reveal/internal/modular"
 )
 
 func TestXoshiroDeterminism(t *testing.T) {
@@ -79,8 +80,8 @@ func TestClippedNormalValidation(t *testing.T) {
 	if math.Abs(cn.Sigma-3.1915) > 0.001 {
 		t.Errorf("default sigma %v, want ≈3.19 (=8/sqrt(2π))", cn.Sigma)
 	}
-	if cn.MaxValue() != 41 {
-		t.Errorf("MaxValue=%d, want 41 per the paper", cn.MaxValue())
+	if got := math.Round(cn.MaxDeviation); got != 41 {
+		t.Errorf("rounded MaxDeviation=%v, want 41 per the paper", got)
 	}
 }
 
@@ -193,38 +194,6 @@ func TestUniformPoly(t *testing.T) {
 	}
 }
 
-func TestCDTSampler(t *testing.T) {
-	cdt, err := NewCDT(3.19, 12.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cdt.Tail() != 41 {
-		t.Errorf("tail=%d want 41", cdt.Tail())
-	}
-	p := NewXoshiro256(9)
-	var sum, sumSq float64
-	const draws = 100000
-	for i := 0; i < draws; i++ {
-		v := cdt.Sample(p)
-		if v < -41 || v > 41 {
-			t.Fatalf("CDT sample out of range: %d", v)
-		}
-		sum += float64(v)
-		sumSq += float64(v) * float64(v)
-	}
-	mean := sum / draws
-	variance := sumSq/draws - mean*mean
-	if math.Abs(mean) > 0.06 {
-		t.Errorf("CDT mean %v should be ≈0", mean)
-	}
-	if math.Abs(variance-3.19*3.19)/(3.19*3.19) > 0.05 {
-		t.Errorf("CDT variance %v want ≈%v", variance, 3.19*3.19)
-	}
-	if _, err := NewCDT(0, 1); err == nil {
-		t.Error("invalid CDT params should fail")
-	}
-}
-
 func TestAssignSignedMatchesSpec(t *testing.T) {
 	moduli := []uint64{132120577, 1152921504606584833}
 	cases := []struct {
@@ -240,35 +209,10 @@ func TestAssignSignedMatchesSpec(t *testing.T) {
 			t.Errorf("noise %d: branch %v want %v", c.noise, br, c.branch)
 		}
 		for j, q := range moduli {
-			if got := CenterLift(out[j], q); got != c.noise {
+			if got := modular.CenteredRep(out[j], q); got != c.noise {
 				t.Errorf("noise %d mod %d: stored %d lifts to %d", c.noise, q, out[j], got)
 			}
 		}
-	}
-}
-
-// Property: branchless assignment agrees with the branching one for every
-// in-range noise value.
-func TestAssignSignedBranchlessEquivalence(t *testing.T) {
-	moduli := []uint64{132120577}
-	prop := func(raw int8) bool {
-		noise := int64(raw) % 42
-		a, _ := AssignSigned(noise, moduli)
-		b := AssignSignedBranchless(noise, moduli)
-		return a[0] == b[0]
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBranchString(t *testing.T) {
-	if BranchZero.String() != "zero" || BranchPositive.String() != "positive" ||
-		BranchNegative.String() != "negative" {
-		t.Error("Branch.String wrong")
-	}
-	if Branch(9).String() != "Branch(9)" {
-		t.Error("unknown branch formatting wrong")
 	}
 }
 
@@ -304,16 +248,6 @@ func BenchmarkClippedNormalSample(b *testing.B) {
 	var v int64
 	for i := 0; i < b.N; i++ {
 		v, _ = cn.Sample(p)
-	}
-	sinkI64 = v
-}
-
-func BenchmarkCDTSample(b *testing.B) {
-	cdt, _ := NewCDT(3.19, 12.8)
-	p := NewXoshiro256(12)
-	var v int64
-	for i := 0; i < b.N; i++ {
-		v = cdt.Sample(p)
 	}
 	sinkI64 = v
 }

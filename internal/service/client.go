@@ -191,13 +191,6 @@ func (c *Client) Result(ctx context.Context, id string, out any) error {
 	return c.do(ctx, http.MethodGet, "/api/v1/campaigns/"+id+"/result", nil, out)
 }
 
-// Cancel aborts a campaign.
-func (c *Client) Cancel(ctx context.Context, id string) (jobs.Status, error) {
-	var st jobs.Status
-	err := c.do(ctx, http.MethodDelete, "/api/v1/campaigns/"+id, nil, &st)
-	return st, err
-}
-
 // Stats fetches the queue/cache depth counters.
 func (c *Client) Stats(ctx context.Context) (queued, running, cached int, err error) {
 	resp, err := c.StatsFull(ctx)

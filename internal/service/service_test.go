@@ -270,7 +270,7 @@ func TestCancelOverHTTP(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if _, err := client.Cancel(ctx, st.ID); err != nil {
+	if err := client.do(ctx, http.MethodDelete, "/api/v1/campaigns/"+st.ID, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	waitCtx, cancel := context.WithTimeout(ctx, 10*time.Second)

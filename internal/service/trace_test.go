@@ -125,8 +125,12 @@ func TestTraceIDEndToEnd(t *testing.T) {
 
 	// 4. Per-job manifest.json.
 	dir := filepath.Join(dataDir, st.ID)
-	m, err := obs.ReadManifest(filepath.Join(dir, "manifest.json"))
+	data, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {
+		t.Fatal(err)
+	}
+	var m obs.Manifest
+	if err := json.Unmarshal(data, &m); err != nil {
 		t.Fatal(err)
 	}
 	if m.TraceID != traceID {

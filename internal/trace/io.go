@@ -67,8 +67,8 @@ func ReadSet(r io.Reader) (*Set, error) {
 		return nil, err
 	}
 	s := &Set{}
-	s.Labels = append(s.Labels, sr.Labels()...)
-	initialCap := sr.Samples()
+	s.Labels = append(s.Labels, sr.labels...)
+	initialCap := sr.samples
 	if initialCap > readSetChunk {
 		initialCap = readSetChunk
 	}

@@ -125,7 +125,7 @@ func streamSegmentWhole(t Trace, want, minDistance, chunk int) ([]Segment, error
 	}
 	var segs []Segment
 	for off := 0; off < len(t); off += chunk {
-		out, err := sg.Feed(t[off:min(off+chunk, len(t))])
+		out, err := feed(sg, t[off:min(off+chunk, len(t))])
 		if err != nil {
 			return nil, err
 		}
@@ -298,7 +298,7 @@ func TestFindPeaks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sg.Feed(tr); err != nil {
+	if _, err := feed(sg, tr); err != nil {
 		t.Fatal(err)
 	}
 	if segs, err := sg.Flush(); err == nil {

@@ -44,12 +44,12 @@ func streamSegments(tb testing.TB, t Trace, cfg StreamSegmenterConfig, chunk int
 		if end > len(t) {
 			end = len(t)
 		}
-		out, err := sg.Feed(t[off:end])
+		out, err := feed(sg, t[off:end])
 		if err != nil {
 			tb.Fatalf("Feed at %d: %v", off, err)
 		}
 		if len(out) > 0 && firstAt == 0 {
-			firstAt = sg.BufferedSamples()
+			firstAt = len(sg.buf)
 		}
 		segs = append(segs, out...)
 	}
@@ -129,7 +129,7 @@ func TestStreamSegmenterCountErrors(t *testing.T) {
 		if end > len(tr) {
 			end = len(tr)
 		}
-		if _, streamErr = sg.Feed(tr[off:end]); streamErr != nil {
+		if _, streamErr = feed(sg, tr[off:end]); streamErr != nil {
 			fed = end
 			break
 		}
@@ -146,7 +146,7 @@ func TestStreamSegmenterCountErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sg.Feed(tr); err != nil {
+	if _, err := feed(sg, tr); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sg.Flush(); err == nil {
@@ -170,8 +170,8 @@ func TestStreamReaderBitExactAcrossChunkSizes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sr.Traces() != 2 || sr.Samples() != 100 {
-			t.Fatalf("header %d×%d, want 2×100", sr.Traces(), sr.Samples())
+		if sr.count != 2 || sr.samples != 100 {
+			t.Fatalf("header %d×%d, want 2×100", sr.count, sr.samples)
 		}
 		dst := make(Trace, chunk)
 		for {
@@ -286,4 +286,11 @@ func TestStreamReaderSequentialContract(t *testing.T) {
 	if _, _, err := sr.NextTrace(); err == nil {
 		t.Fatal("NextTrace over an unconsumed trace must fail")
 	}
+}
+
+// feed copies one chunk into the segmenter through Window+Commit and
+// returns the newly confirmed segments.
+func feed(sg *StreamSegmenter, chunk Trace) ([]Segment, error) {
+	copy(sg.Window(len(chunk)), chunk)
+	return sg.Commit(len(chunk))
 }

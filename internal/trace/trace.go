@@ -42,19 +42,6 @@ func (t Trace) Mean() float64 {
 	return sum / float64(len(t))
 }
 
-// Std returns the sample standard deviation (0 for fewer than 2 samples).
-func (t Trace) Std() float64 {
-	if len(t) < 2 {
-		return 0
-	}
-	m := t.Mean()
-	sum := 0.0
-	for _, v := range t {
-		sum += (v - m) * (v - m)
-	}
-	return math.Sqrt(sum / float64(len(t)-1))
-}
-
 // Resample stretches or compresses the trace to exactly n samples using
 // linear interpolation; used to align time-variant sub-traces before
 // template matching. n <= 0 yields an empty trace.
@@ -99,28 +86,6 @@ func (t Trace) ResampleInto(dst Trace) Trace {
 	return dst
 }
 
-// LowPass applies a simple moving-average filter of the given window,
-// approximating the band-limiting of a real acquisition chain.
-func (t Trace) LowPass(window int) Trace {
-	if window <= 1 || len(t) == 0 {
-		return t.Clone()
-	}
-	out := make(Trace, len(t))
-	sum := 0.0
-	for i, v := range t {
-		sum += v
-		if i >= window {
-			sum -= t[i-window]
-		}
-		n := window
-		if i < window {
-			n = i + 1
-		}
-		out[i] = sum / float64(n)
-	}
-	return out
-}
-
 // Set is a labeled collection of equally-long traces, the unit the template
 // builder consumes.
 type Set struct {
@@ -159,20 +124,6 @@ func (s *Set) ByLabel() map[int][]int {
 	out := map[int][]int{}
 	for i, l := range s.Labels {
 		out[l] = append(out[l], i)
-	}
-	return out
-}
-
-// Decimate keeps every k-th sample, modeling a slower acquisition rate
-// than one sample per cycle (the paper's scope oversamples at 1 GS/s for a
-// 1.5 MHz clock; other setups undersample). k must be ≥ 1.
-func (t Trace) Decimate(k int) Trace {
-	if k <= 1 {
-		return t.Clone()
-	}
-	out := make(Trace, 0, (len(t)+k-1)/k)
-	for i := 0; i < len(t); i += k {
-		out = append(out, t[i])
 	}
 	return out
 }

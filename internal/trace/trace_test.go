@@ -16,11 +16,8 @@ func TestStats(t *testing.T) {
 	if tr.Max() != 5 {
 		t.Errorf("max=%v", tr.Max())
 	}
-	if math.Abs(tr.Std()-math.Sqrt(2.5)) > 1e-12 {
-		t.Errorf("std=%v", tr.Std())
-	}
 	var empty Trace
-	if empty.Mean() != 0 || !math.IsInf(empty.Max(), -1) || empty.Std() != 0 {
+	if empty.Mean() != 0 || !math.IsInf(empty.Max(), -1) {
 		t.Error("empty-trace stats wrong")
 	}
 }
@@ -110,17 +107,6 @@ func TestResampleIntoMatchesResample(t *testing.T) {
 	}
 	if got := (Trace{1, 2}).ResampleInto(Trace{}); len(got) != 0 {
 		t.Errorf("empty destination should stay empty")
-	}
-}
-
-func TestLowPass(t *testing.T) {
-	tr := Trace{0, 0, 10, 0, 0}
-	f := tr.LowPass(2)
-	if f[2] != 5 || f[3] != 5 {
-		t.Errorf("lowpass=%v", f)
-	}
-	if got := tr.LowPass(1); got[2] != 10 {
-		t.Error("window 1 must be identity")
 	}
 }
 
@@ -238,25 +224,5 @@ func TestWriteMultiCSV(t *testing.T) {
 	}
 	if err := WriteMultiCSV(&buf, []string{"a"}, []Trace{{1}, {2}}); err == nil {
 		t.Error("name/series mismatch should fail")
-	}
-}
-
-func TestDecimate(t *testing.T) {
-	tr := Trace{0, 1, 2, 3, 4, 5, 6}
-	d := tr.Decimate(3)
-	if len(d) != 3 || d[0] != 0 || d[1] != 3 || d[2] != 6 {
-		t.Errorf("decimate=%v", d)
-	}
-	if got := tr.Decimate(1); len(got) != len(tr) {
-		t.Error("k=1 must be identity")
-	}
-	if got := tr.Decimate(0); len(got) != len(tr) {
-		t.Error("k=0 must be identity")
-	}
-	// Identity must be a copy, not an alias.
-	id := tr.Decimate(1)
-	id[0] = 99
-	if tr[0] != 0 {
-		t.Error("decimate identity aliases input")
 	}
 }
