@@ -2,7 +2,8 @@ package ring_test
 
 // Property-based invariant tests: the ring axioms of R_q = Z_q[x]/(x^n+1)
 // must hold for every seeded random triple, and the Galois automorphisms
-// must be ring homomorphisms.
+// must be ring homomorphisms. Every property that multiplies runs on both
+// NTT kernels.
 
 import (
 	"testing"
@@ -53,99 +54,108 @@ func TestRingAdditiveLaws(t *testing.T) {
 }
 
 func TestRingMultiplicativeLaws(t *testing.T) {
-	ctx := propCtx(t)
-	r := testkit.NewRNG(102)
-	for iter := 0; iter < 6; iter++ {
-		a, b, c := r.Poly(ctx), r.Poly(ctx), r.Poly(ctx)
-		ab, ba := ctx.NewPoly(), ctx.NewPoly()
-		ctx.MulPoly(a, b, ab)
-		ctx.MulPoly(b, a, ba)
-		if !ab.Equal(ba) {
-			t.Fatal("a*b != b*a")
+	forEachKernel(t, func(t *testing.T, kernel string) {
+		ctx := propCtx(t)
+		k := kernelOn(t, kernel, ctx)
+		r := testkit.NewRNG(102)
+		for iter := 0; iter < 6; iter++ {
+			a, b, c := r.Poly(ctx), r.Poly(ctx), r.Poly(ctx)
+			ab, ba := ctx.NewPoly(), ctx.NewPoly()
+			k.MulPoly(a, b, ab)
+			k.MulPoly(b, a, ba)
+			if !ab.Equal(ba) {
+				t.Fatal("a*b != b*a")
+			}
+			// Associativity: (a*b)*c == a*(b*c).
+			l, rr, tmp := ctx.NewPoly(), ctx.NewPoly(), ctx.NewPoly()
+			k.MulPoly(ab, c, l)
+			k.MulPoly(b, c, tmp)
+			k.MulPoly(a, tmp, rr)
+			if !l.Equal(rr) {
+				t.Fatal("(a*b)*c != a*(b*c)")
+			}
+			// Distributivity: a*(b+c) == a*b + a*c.
+			bc, abc, abac, ac := ctx.NewPoly(), ctx.NewPoly(), ctx.NewPoly(), ctx.NewPoly()
+			ctx.Add(b, c, bc)
+			k.MulPoly(a, bc, abc)
+			k.MulPoly(a, c, ac)
+			ctx.Add(ab, ac, abac)
+			if !abc.Equal(abac) {
+				t.Fatal("a*(b+c) != a*b + a*c")
+			}
+			// Multiplicative identity.
+			one := ctx.NewPoly()
+			for j := range ctx.Moduli {
+				one.Coeffs[j][0] = 1
+			}
+			aOne := ctx.NewPoly()
+			k.MulPoly(a, one, aOne)
+			if !aOne.Equal(a) {
+				t.Fatal("a*1 != a")
+			}
 		}
-		// Associativity: (a*b)*c == a*(b*c).
-		l, rr, tmp := ctx.NewPoly(), ctx.NewPoly(), ctx.NewPoly()
-		ctx.MulPoly(ab, c, l)
-		ctx.MulPoly(b, c, tmp)
-		ctx.MulPoly(a, tmp, rr)
-		if !l.Equal(rr) {
-			t.Fatal("(a*b)*c != a*(b*c)")
-		}
-		// Distributivity: a*(b+c) == a*b + a*c.
-		bc, abc, abac, ac := ctx.NewPoly(), ctx.NewPoly(), ctx.NewPoly(), ctx.NewPoly()
-		ctx.Add(b, c, bc)
-		ctx.MulPoly(a, bc, abc)
-		ctx.MulPoly(a, c, ac)
-		ctx.Add(ab, ac, abac)
-		if !abc.Equal(abac) {
-			t.Fatal("a*(b+c) != a*b + a*c")
-		}
-		// Multiplicative identity.
-		one := ctx.NewPoly()
-		for j := range ctx.Moduli {
-			one.Coeffs[j][0] = 1
-		}
-		aOne := ctx.NewPoly()
-		ctx.MulPoly(a, one, aOne)
-		if !aOne.Equal(a) {
-			t.Fatal("a*1 != a")
-		}
-	}
+	})
 }
 
 // TestScalarMulMatchesRepeatedAdd: the ring product with the constant
 // polynomial s must equal a added to itself s times.
 func TestScalarMulMatchesRepeatedAdd(t *testing.T) {
-	ctx := propCtx(t)
-	r := testkit.NewRNG(103)
-	a := r.Poly(ctx)
-	acc := ctx.NewPoly()
-	byScalar := ctx.NewPoly()
-	for s := uint64(1); s <= 8; s++ {
-		ctx.Add(acc, a, acc)
-		constant := ctx.NewPoly()
-		for j := range ctx.Moduli {
-			constant.Coeffs[j][0] = s
+	forEachKernel(t, func(t *testing.T, kernel string) {
+		ctx := propCtx(t)
+		k := kernelOn(t, kernel, ctx)
+		r := testkit.NewRNG(103)
+		a := r.Poly(ctx)
+		acc := ctx.NewPoly()
+		byScalar := ctx.NewPoly()
+		for s := uint64(1); s <= 8; s++ {
+			ctx.Add(acc, a, acc)
+			constant := ctx.NewPoly()
+			for j := range ctx.Moduli {
+				constant.Coeffs[j][0] = s
+			}
+			k.MulPoly(a, constant, byScalar)
+			if !byScalar.Equal(acc) {
+				t.Fatalf("%d*a != a added %d times", s, s)
+			}
 		}
-		ctx.MulPoly(a, constant, byScalar)
-		if !byScalar.Equal(acc) {
-			t.Fatalf("%d*a != a added %d times", s, s)
-		}
-	}
+	})
 }
 
 // TestAutomorphismIsRingHomomorphism: x -> x^g must commute with both ring
 // operations — the property ApplyGalois and the attack's hint rotation
 // depend on.
 func TestAutomorphismIsRingHomomorphism(t *testing.T) {
-	ctx := propCtx(t)
-	r := testkit.NewRNG(104)
-	for _, g := range []uint64{3, 5, 2*64 - 1} {
-		a, b := r.Poly(ctx), r.Poly(ctx)
-		sum, prod := ctx.NewPoly(), ctx.NewPoly()
-		ctx.Add(a, b, sum)
-		ctx.MulPoly(a, b, prod)
-		autA, autB, autSum, autProd := ctx.NewPoly(), ctx.NewPoly(), ctx.NewPoly(), ctx.NewPoly()
-		for dst, src := range map[*ring.Poly]*ring.Poly{autA: a, autB: b, autSum: sum, autProd: prod} {
-			if err := ctx.Automorphism(src, g, dst); err != nil {
-				t.Fatalf("Automorphism(g=%d): %v", g, err)
+	forEachKernel(t, func(t *testing.T, kernel string) {
+		ctx := propCtx(t)
+		k := kernelOn(t, kernel, ctx)
+		r := testkit.NewRNG(104)
+		for _, g := range []uint64{3, 5, 2*64 - 1} {
+			a, b := r.Poly(ctx), r.Poly(ctx)
+			sum, prod := ctx.NewPoly(), ctx.NewPoly()
+			ctx.Add(a, b, sum)
+			k.MulPoly(a, b, prod)
+			autA, autB, autSum, autProd := ctx.NewPoly(), ctx.NewPoly(), ctx.NewPoly(), ctx.NewPoly()
+			for dst, src := range map[*ring.Poly]*ring.Poly{autA: a, autB: b, autSum: sum, autProd: prod} {
+				if err := ctx.Automorphism(src, g, dst); err != nil {
+					t.Fatalf("Automorphism(g=%d): %v", g, err)
+				}
+			}
+			check := ctx.NewPoly()
+			ctx.Add(autA, autB, check)
+			if !check.Equal(autSum) {
+				t.Fatalf("g=%d: aut(a+b) != aut(a)+aut(b)", g)
+			}
+			k.MulPoly(autA, autB, check)
+			if !check.Equal(autProd) {
+				t.Fatalf("g=%d: aut(a*b) != aut(a)*aut(b)", g)
 			}
 		}
-		check := ctx.NewPoly()
-		ctx.Add(autA, autB, check)
-		if !check.Equal(autSum) {
-			t.Fatalf("g=%d: aut(a+b) != aut(a)+aut(b)", g)
+		// An even g is not a unit mod 2n and must be rejected.
+		bad := ctx.NewPoly()
+		if err := ctx.Automorphism(bad, 4, ctx.NewPoly()); err == nil {
+			t.Fatal("Automorphism accepted even Galois element")
 		}
-		ctx.MulPoly(autA, autB, check)
-		if !check.Equal(autProd) {
-			t.Fatalf("g=%d: aut(a*b) != aut(a)*aut(b)", g)
-		}
-	}
-	// An even g is not a unit mod 2n and must be rejected.
-	bad := ctx.NewPoly()
-	if err := ctx.Automorphism(bad, 4, ctx.NewPoly()); err == nil {
-		t.Fatal("Automorphism accepted even Galois element")
-	}
+	})
 }
 
 func TestSetSignedInfNorm(t *testing.T) {

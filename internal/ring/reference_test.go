@@ -3,9 +3,11 @@ package ring_test
 // The production Context against the strict-reduction reference NTT in
 // internal/testkit: identical seeded workloads, compared residue by residue
 // — a mismatch reports the first differing (modulus, coefficient) index.
-// The ladder golden vectors are cross-checked against the math/big
-// reference before the pinned digest is compared, so a golden file can
-// never capture a wrong transform.
+// Kernel-level tests also run whole on each of the two kernels, so the
+// oracle itself must pass the math/big differentials and the goldens. The
+// ladder golden vectors are cross-checked against the math/big reference
+// before the pinned digest is compared, so a golden file can never capture
+// a wrong transform.
 
 import (
 	"fmt"
@@ -35,6 +37,71 @@ func newRef(t testing.TB, ctx *ring.Context) *testkit.RefNTT {
 	return ref
 }
 
+// The two NTT kernels, by the subtest labels the suite reports them under:
+// "rns" is the production lazy-reduction RNS kernel inside ring.Context,
+// "reference" the strict testkit.RefNTT oracle.
+const (
+	referenceKernel  = "reference"
+	productionKernel = "rns"
+)
+
+// nttKernel is the transform surface a kernel-level test drives;
+// *ring.Context implements it directly.
+type nttKernel interface {
+	NTT(p *ring.Poly)
+	INTT(p *ring.Poly)
+	MulPoly(a, b, out *ring.Poly)
+}
+
+// refKernel drives testkit.RefNTT through nttKernel with the Context's
+// domain semantics: NTT and INTT are no-ops on a poly already in the target
+// domain, and MulPoly leaves its operands untouched.
+type refKernel struct{ ref *testkit.RefNTT }
+
+func (k refKernel) NTT(p *ring.Poly) {
+	if p.InNTT {
+		return
+	}
+	for j := range p.Coeffs {
+		k.ref.NTT(j, p.Coeffs[j])
+	}
+	p.InNTT = true
+}
+
+func (k refKernel) INTT(p *ring.Poly) {
+	if !p.InNTT {
+		return
+	}
+	for j := range p.Coeffs {
+		k.ref.INTT(j, p.Coeffs[j])
+	}
+	p.InNTT = false
+}
+
+func (k refKernel) MulPoly(a, b, out *ring.Poly) {
+	for j, v := range k.ref.MulPoly(a.Coeffs, b.Coeffs) {
+		copy(out.Coeffs[j], v)
+	}
+	out.InNTT = false
+}
+
+// forEachKernel runs fn once per NTT kernel as a "backend=<kernel>" subtest.
+func forEachKernel(t *testing.T, fn func(t *testing.T, kernel string)) {
+	t.Helper()
+	for _, name := range []string{referenceKernel, productionKernel} {
+		t.Run("backend="+name, func(t *testing.T) { fn(t, name) })
+	}
+}
+
+// kernelOn returns the named kernel over ctx's ring.
+func kernelOn(t testing.TB, kernel string, ctx *ring.Context) nttKernel {
+	t.Helper()
+	if kernel == referenceKernel {
+		return refKernel{newRef(t, ctx)}
+	}
+	return ctx
+}
+
 // firstMismatch returns the first (modulus, coefficient) index where two
 // residue sets differ, or ok=true when they are identical.
 func firstMismatch(a, b [][]uint64) (j, i int, ok bool) {
@@ -58,13 +125,6 @@ func checkAgainstRef(t testing.TB, what string, got, want [][]uint64) {
 	}
 }
 
-// TestReferenceByteEquality runs the same seeded NTT, inverse NTT and
-// multiply workload through the production Context and the testkit
-// reference, and every output must be byte-identical (the canonical-residue
-// contract that keeps every golden and the selftest digest on the
-// reference's values). Ladder primes with p ≡ 1 mod 2^14 are also
-// NTT-friendly at these small degrees, so the real SEAL moduli get
-// exercised here without paying full-degree cost.
 // ladderModuli returns the modulus chain of the degree-n ladder entry.
 func ladderModuli(t testing.TB, n int) []uint64 {
 	t.Helper()
@@ -75,7 +135,14 @@ func ladderModuli(t testing.TB, n int) []uint64 {
 	return p.Moduli
 }
 
-func TestReferenceByteEquality(t *testing.T) {
+// TestCrossBackendByteEquality runs the same seeded NTT, inverse NTT and
+// multiply workload through the production Context and the testkit
+// reference, and every output must be byte-identical (the canonical-residue
+// contract that keeps every golden and the selftest digest on the
+// reference's values). Ladder primes with p ≡ 1 mod 2^14 are also
+// NTT-friendly at these small degrees, so the real SEAL moduli get
+// exercised here without paying full-degree cost.
+func TestCrossBackendByteEquality(t *testing.T) {
 	cases := []struct {
 		name   string
 		n      int
@@ -110,39 +177,43 @@ func TestReferenceByteEquality(t *testing.T) {
 }
 
 // TestLadderRoundTripFullDegree runs forward+inverse NTT and a sparse ring
-// product at the real ladder degrees — full n=2048..8192 transforms against
-// the reference NTT and the math/big negacyclic reference (sparse operand,
-// so the schoolbook reference stays O(n·weight)).
+// product at the real ladder degrees on both kernels — full n=2048..8192
+// transforms against the math/big negacyclic reference (sparse operand, so
+// the schoolbook reference stays O(n·weight)), and the production forward
+// transform against the reference one.
 func TestLadderRoundTripFullDegree(t *testing.T) {
 	for _, n := range ring.LadderDegrees() {
-		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			params, err := ring.LadderParams(n)
-			if err != nil {
-				t.Fatalf("LadderParams(%d): %v", n, err)
-			}
-			ctx, err := ring.NewContextFor(params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := testkit.NewRNG(0xAD0E + uint64(n))
-			dense := r.Poly(ctx)
-			orig := dense.Clone()
-			ctx.NTT(dense)
-			checkAgainstRef(t, "NTT", dense.Coeffs, newRef(t, ctx).Forward(orig.Coeffs))
-			ctx.INTT(dense)
-			if j, i, ok := firstMismatch(dense.Coeffs, orig.Coeffs); !ok {
-				t.Fatalf("NTT round trip: first mismatch at modulus %d coeff %d", j, i)
-			}
-			// Sparse second operand: x^1 with coefficient c plus a
-			// constant term, so the reference product is cheap.
-			sparse := ctx.NewPoly()
-			for j, q := range ctx.Moduli {
-				sparse.Coeffs[j][0] = 3 % q
-				sparse.Coeffs[j][1] = (q - 1) / 2
-			}
-			out := ctx.NewPoly()
-			ctx.MulPoly(orig, sparse, out)
-			checkBigMul(t, ctx, out, orig, sparse)
+		params, err := ring.LadderParams(n)
+		if err != nil {
+			t.Fatalf("LadderParams(%d): %v", n, err)
+		}
+		forEachKernel(t, func(t *testing.T, kernel string) {
+			t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+				ctx, err := ring.NewContextFor(params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				k := kernelOn(t, kernel, ctx)
+				r := testkit.NewRNG(0xAD0E + uint64(n))
+				dense := r.Poly(ctx)
+				orig := dense.Clone()
+				k.NTT(dense)
+				checkAgainstRef(t, "NTT", dense.Coeffs, newRef(t, ctx).Forward(orig.Coeffs))
+				k.INTT(dense)
+				if j, i, ok := firstMismatch(dense.Coeffs, orig.Coeffs); !ok {
+					t.Fatalf("NTT round trip: first mismatch at modulus %d coeff %d", j, i)
+				}
+				// Sparse second operand: x^1 with coefficient c plus a
+				// constant term, so the reference product is cheap.
+				sparse := ctx.NewPoly()
+				for j, q := range ctx.Moduli {
+					sparse.Coeffs[j][0] = 3 % q
+					sparse.Coeffs[j][1] = (q - 1) / 2
+				}
+				out := ctx.NewPoly()
+				k.MulPoly(orig, sparse, out)
+				checkBigMul(t, ctx, out, orig, sparse)
+			})
 		})
 	}
 }
@@ -184,32 +255,36 @@ func TestGoldenLadderVectors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ctx, err := ring.NewContextFor(params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seed := uint64(0x90D0 + n)
-			r := testkit.NewRNG(seed)
-			a := r.Poly(ctx)
-			sparse := ctx.NewPoly()
-			for j, q := range ctx.Moduli {
-				sparse.Coeffs[j][0] = 7 % q
-				sparse.Coeffs[j][n/2] = q - 2
-			}
-			prod := ctx.NewPoly()
-			ctx.MulPoly(a, sparse, prod)
-			checkBigMul(t, ctx, prod, a, sparse)
-			nttOut := a.Clone()
-			ctx.NTT(nttOut)
-			checkAgainstRef(t, "NTT", nttOut.Coeffs, newRef(t, ctx).Forward(a.Coeffs))
-			g := goldenLadder{
-				N:         n,
-				Moduli:    params.Moduli,
-				Seed:      seed,
-				NTTDigest: testkit.Digest(nttOut.Coeffs),
-				MulDigest: testkit.Digest(prod.Coeffs),
-			}
-			testkit.Golden(t, fmt.Sprintf("testdata/golden_ladder_n%d.json", n), g)
+			// Both kernels must reproduce the one pinned digest pair.
+			forEachKernel(t, func(t *testing.T, kernel string) {
+				ctx, err := ring.NewContextFor(params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				k := kernelOn(t, kernel, ctx)
+				seed := uint64(0x90D0 + n)
+				r := testkit.NewRNG(seed)
+				a := r.Poly(ctx)
+				sparse := ctx.NewPoly()
+				for j, q := range ctx.Moduli {
+					sparse.Coeffs[j][0] = 7 % q
+					sparse.Coeffs[j][n/2] = q - 2
+				}
+				prod := ctx.NewPoly()
+				k.MulPoly(a, sparse, prod)
+				checkBigMul(t, ctx, prod, a, sparse)
+				nttOut := a.Clone()
+				k.NTT(nttOut)
+				checkAgainstRef(t, "NTT", nttOut.Coeffs, newRef(t, ctx).Forward(a.Coeffs))
+				g := goldenLadder{
+					N:         n,
+					Moduli:    params.Moduli,
+					Seed:      seed,
+					NTTDigest: testkit.Digest(nttOut.Coeffs),
+					MulDigest: testkit.Digest(prod.Coeffs),
+				}
+				testkit.Golden(t, fmt.Sprintf("testdata/golden_ladder_n%d.json", n), g)
+			})
 		})
 	}
 }
