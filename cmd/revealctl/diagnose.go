@@ -76,11 +76,7 @@ func runDiagnose(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if err := camp.finish(); err != nil {
-			fmt.Fprintln(os.Stderr, "revealctl: finishing run:", err)
-		}
-	}()
+	defer finishCampaign(camp)
 	if !cfg.JSONOut {
 		fmt.Printf("collecting profiling campaign (%d traces per value, %d values)...\n",
 			cfg.Opts.Profile.TracesPerValue, 2*cfg.Opts.Profile.MaxAbsValue+1)
@@ -94,14 +90,8 @@ func runDiagnose(args []string) error {
 	camp.setResult("warnings", len(report.Warnings))
 	camp.setResult("healthy", report.Healthy)
 	if camp.run != nil {
-		f, err := os.Create(filepath.Join(camp.run.Dir, "diagnostics.json"))
-		if err != nil {
-			return err
-		}
-		err = experiments.WriteJSON(f, report)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
+		err := writeFile(filepath.Join(camp.run.Dir, "diagnostics.json"),
+			func(w io.Writer) error { return experiments.WriteJSON(w, report) })
 		if err != nil {
 			return fmt.Errorf("writing diagnostics.json: %w", err)
 		}

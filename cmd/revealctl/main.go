@@ -16,8 +16,13 @@
 //	revealctl top [-addr URL] [-interval DUR] [-n N]
 //	revealctl report [-addr URL] [-kind K] [-tenant T] [-window N] [-format F] [-o FILE]
 //	revealctl selftest [-seed S] [-workers N] [-json] [-q]
+//	revealctl estimator [-table 3|4] [-n N -q Q -sigma S -hints none|sign|full] [-sweep] [-seed S]
+//	revealctl figures [-fig 3a|3b|timing] [-o FILE] [-seed S]
+//	revealctl tracegen [-o FILE] [-count N] [-q Q] [-seed S] [-len L] [-lownoise]
+//	revealctl rvsim -s FILE [-disasm] [-trace FILE] [-max N] [-mem BYTES] [-seed S]
 //
-// Every subcommand accepts the observability flags:
+// The campaign subcommands (table1, table2, attack, profile, diagnose,
+// estimator, figures, tracegen, rvsim) accept the observability flags:
 //
 //	-run-dir DIR       archive the campaign as a reproducible artifact:
 //	                   DIR/manifest.json (config, seed, git describe,
@@ -32,6 +37,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"reveal/internal/core"
@@ -69,6 +75,14 @@ func main() {
 		err = runReport(os.Args[2:])
 	case "selftest":
 		err = runSelftest(os.Args[2:])
+	case "estimator":
+		err = runEstimator(os.Args[2:], os.Stdout)
+	case "figures":
+		err = runFigures(os.Args[2:], os.Stdout)
+	case "tracegen":
+		err = runTracegen(os.Args[2:], os.Stdout)
+	case "rvsim":
+		err = runRvsim(os.Args[2:], os.Stdout)
 	default:
 		usage()
 		os.Exit(2)
@@ -96,8 +110,13 @@ commands:
   top      live terminal dashboard over a running reveald (queue, workers, quality, events)
   report   quality-trajectory report (markdown/CSV) from a reveald history store
   selftest replay-determinism gate: serial vs parallel attack, digest printed
+  estimator DBDD security estimate with simulated hints (Tables III/IV, -sweep)
+  figures  Fig. 3 data series as CSV (-fig 3a, 3b or timing)
+  tracegen labeled per-coefficient sub-trace set in the .rvts format
+  rvsim    assemble and run an RV32IM kernel: registers, -disasm, -trace CSV
 
-observability (all commands):
+observability (table1, table2, attack, profile, diagnose, estimator,
+figures, tracegen, rvsim):
   -run-dir DIR        write manifest.json, metrics.txt, run.log
   -metrics-addr ADDR  live /metrics, /progress, /debug/pprof
   -log-level LEVEL    debug|info|warn|error
@@ -119,11 +138,7 @@ func runTable1(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if err := camp.finish(); err != nil {
-			fmt.Fprintln(os.Stderr, "revealctl: finishing run:", err)
-		}
-	}()
+	defer finishCampaign(camp)
 	if !*jsonOut {
 		fmt.Printf("profiling device (%d traces per value, 29 values)...\n", *profile)
 	}
@@ -163,11 +178,7 @@ func runTable2(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if err := camp.finish(); err != nil {
-			fmt.Fprintln(os.Stderr, "revealctl: finishing run:", err)
-		}
-	}()
+	defer finishCampaign(camp)
 	if !*jsonOut {
 		fmt.Println("profiling low-noise device...")
 	}
@@ -211,11 +222,7 @@ func runAttack(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if err := camp.finish(); err != nil {
-			fmt.Fprintln(os.Stderr, "revealctl: finishing run:", err)
-		}
-	}()
+	defer finishCampaign(camp)
 	fmt.Println("profiling low-noise device for full recovery...")
 	s, err := experiments.NewSession(cfg)
 	if err != nil {
@@ -331,22 +338,13 @@ func runProfile(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if err := camp.finish(); err != nil {
-			fmt.Fprintln(os.Stderr, "revealctl: finishing run:", err)
-		}
-	}()
+	defer finishCampaign(camp)
 	fmt.Printf("profiling (%d traces per value)...\n", opts.TracesPerValue)
 	cls, err := core.Profile(dev, opts)
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := core.WriteClassifier(f, cls); err != nil {
+	if err := writeFile(*out, func(w io.Writer) error { return core.WriteClassifier(w, cls) }); err != nil {
 		return err
 	}
 	camp.setResult("classifier_path", *out)

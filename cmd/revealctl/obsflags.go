@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"os"
 
 	"reveal/internal/obs"
@@ -87,7 +88,9 @@ func (c *campaign) setResult(key string, value any) {
 	}
 }
 
-// finish seals the run artifacts and tears the live endpoints down.
+// finish seals the run artifacts and tears the live endpoints down. A
+// campaign that logs without -run-dir ends with one "stage summary" record
+// per stage, the console stand-in for manifest.json's per-stage block.
 func (c *campaign) finish() error {
 	if c == nil {
 		return nil
@@ -99,7 +102,21 @@ func (c *campaign) finish() error {
 		return c.run.Finish()
 	}
 	if c.rec != nil {
+		for _, st := range c.rec.StageStats() {
+			c.rec.Logger().Info("stage summary", "stage", st.Name,
+				"runs", st.Runs, "items", st.Items,
+				"total_seconds", st.TotalSeconds, "p95_seconds", st.P95Seconds,
+				"items_per_second", st.ItemsPerSecond)
+		}
 		obs.SetGlobal(nil)
 	}
 	return nil
+}
+
+// finishCampaign seals camp and reports a sealing error on stderr; the
+// subcommands defer it so the manifest is written on every return path.
+func finishCampaign(camp *campaign) {
+	if err := camp.finish(); err != nil {
+		fmt.Fprintln(os.Stderr, "revealctl: finishing run:", err)
+	}
 }

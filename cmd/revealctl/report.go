@@ -50,19 +50,16 @@ func runReport(args []string) error {
 		return fmt.Errorf("fetching aggregates from %s: %w", *addr, err)
 	}
 
-	w := io.Writer(os.Stdout)
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
+	write := func(w io.Writer) error {
+		if *format == "csv" {
+			return writeReportCSV(w, records)
 		}
-		defer f.Close()
-		w = f
+		return writeReportMarkdown(w, *addr, records, agg, *rows)
 	}
-	if *format == "csv" {
-		return writeReportCSV(w, records)
+	if *out == "" {
+		return write(os.Stdout)
 	}
-	return writeReportMarkdown(w, *addr, records, agg, *rows)
+	return writeFile(*out, write)
 }
 
 // fetchAllHistory pages through GET /api/v1/history until the cursor is

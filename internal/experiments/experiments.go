@@ -1,8 +1,8 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation section. Each Run* function is self-contained: it builds the
 // device, runs the campaign at the configured scale, and returns the
-// structures the paper reports. The cmd/ tools and the benchmark harness
-// are thin wrappers around these functions.
+// structures the paper reports. The revealctl subcommands and the
+// benchmark harness are thin wrappers around these functions.
 package experiments
 
 import (
@@ -368,6 +368,61 @@ type SweepRow struct {
 	FullHintsBits float64
 }
 
+// SimulatedInstances builds the DBDD instance of the paper's simulated
+// SEAL encryption (n ternary secret coordinates of variance 2/3, n error
+// coordinates of variance σ², modulus q) once per hint model, in order:
+// "none" leaves it unhinted, "sign" integrates the sign of every error
+// coefficient (Table IV's branch-only adversary) and "full" its exact value
+// (Table III). The hinted instances share one error vector drawn from
+// ClippedNormal(σ, 12.8σ) at seed.
+func SimulatedInstances(n int, q, sigma float64, seed uint64, models ...string) ([]*dbdd.Instance, error) {
+	ins := make([]*dbdd.Instance, len(models))
+	var errs []int64
+	for k, model := range models {
+		in, err := dbdd.NewLWEInstance(n, n, q, 2.0/3.0, sigma*sigma)
+		if err != nil {
+			return nil, err
+		}
+		switch model {
+		case "none":
+		case "sign", "full":
+			if errs == nil {
+				cn, err := sampler.NewClippedNormal(sigma, 12.8*sigma)
+				if err != nil {
+					return nil, err
+				}
+				errs, _ = cn.SamplePoly(sampler.NewXoshiro256(seed), n)
+			}
+			for i, e := range errs {
+				if model == "full" {
+					err = in.PerfectHint(n+i, float64(e))
+				} else {
+					err = in.SignHint(n+i, sca.SignOf(int(e)))
+				}
+				if err != nil {
+					return nil, err
+				}
+			}
+		default:
+			return nil, fmt.Errorf("unknown hint model %q", model)
+		}
+		ins[k] = in
+	}
+	return ins, nil
+}
+
+// EstimateBikz estimates every instance in order.
+func EstimateBikz(ins ...*dbdd.Instance) ([]float64, error) {
+	bikz := make([]float64, len(ins))
+	for i, in := range ins {
+		var err error
+		if bikz[i], err = in.EstimateBikz(); err != nil {
+			return nil, err
+		}
+	}
+	return bikz, nil
+}
+
 // RunSecuritySweep estimates the attack's impact across the SEAL default
 // parameter sets (the paper: "our attack is applicable to all security
 // levels and values of n"). Hints are modeled at the paper's quality:
@@ -380,67 +435,24 @@ func RunSecuritySweep(degrees []int, seed uint64) ([]SweepRow, error) {
 			return nil, err
 		}
 		q := 1.0
-		logQ := 0
 		for _, m := range params.Moduli {
 			q *= float64(m)
 		}
-		logQ = params.Q().BitLen()
-		sigma := params.Sigma
-
-		fresh := func() (*dbdd.Instance, error) {
-			return dbdd.NewLWEInstance(n, n, q, 2.0/3.0, sigma*sigma)
-		}
-		base, err := fresh()
+		ins, err := SimulatedInstances(n, q, params.Sigma, seed^uint64(n), "none", "full", "sign")
 		if err != nil {
 			return nil, err
 		}
-		baseBikz, err := base.EstimateBikz()
-		if err != nil {
-			return nil, err
-		}
-		cn, err := sampler.NewClippedNormal(sigma, 12.8*sigma)
-		if err != nil {
-			return nil, err
-		}
-		errs, _ := cn.SamplePoly(sampler.NewXoshiro256(seed^uint64(n)), n)
-
-		full, err := fresh()
-		if err != nil {
-			return nil, err
-		}
-		signs, err := fresh()
-		if err != nil {
-			return nil, err
-		}
-		for i, e := range errs {
-			if err := full.PerfectHint(n+i, float64(e)); err != nil {
-				return nil, err
-			}
-			s := 0
-			if e > 0 {
-				s = 1
-			} else if e < 0 {
-				s = -1
-			}
-			if err := signs.SignHint(n+i, s); err != nil {
-				return nil, err
-			}
-		}
-		fullBikz, err := full.EstimateBikz()
-		if err != nil {
-			return nil, err
-		}
-		signBikz, err := signs.EstimateBikz()
+		bikz, err := EstimateBikz(ins...)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, SweepRow{
-			N: n, LogQ: logQ,
-			BaselineBikz:  baseBikz,
-			FullHintsBikz: fullBikz,
-			SignHintsBikz: signBikz,
-			BaselineBits:  dbdd.BikzToBits(baseBikz),
-			FullHintsBits: dbdd.BikzToBits(fullBikz),
+			N: n, LogQ: params.Q().BitLen(),
+			BaselineBikz:  bikz[0],
+			FullHintsBikz: bikz[1],
+			SignHintsBikz: bikz[2],
+			BaselineBits:  dbdd.BikzToBits(bikz[0]),
+			FullHintsBits: dbdd.BikzToBits(bikz[1]),
 		})
 	}
 	return rows, nil

@@ -217,3 +217,9 @@ func TestRunTimingVariance(t *testing.T) {
 		t.Error("mean outside [min,max]")
 	}
 }
+
+func TestSimulatedInstancesRejectsUnknownModel(t *testing.T) {
+	if _, err := SimulatedInstances(64, 132120577, 3.2, 1, "none", "partial"); err == nil {
+		t.Fatal("unknown hint model accepted")
+	}
+}

@@ -147,11 +147,7 @@ var regNames = func() map[string]int {
 	for i := 0; i < 32; i++ {
 		m[fmt.Sprintf("x%d", i)] = i
 	}
-	abi := []string{"zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2",
-		"s0", "s1", "a0", "a1", "a2", "a3", "a4", "a5", "a6", "a7",
-		"s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11",
-		"t3", "t4", "t5", "t6"}
-	for i, n := range abi {
+	for i, n := range ABINames {
 		m[n] = i
 	}
 	m["fp"] = 8

@@ -5,8 +5,9 @@ import (
 	"strings"
 )
 
-// abiNames are the canonical ABI register names used by the disassembler.
-var abiNames = [32]string{
+// ABINames are the canonical ABI register names, x0 to x31, used by the
+// disassembler and the assembler.
+var ABINames = [32]string{
 	"zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2",
 	"s0", "s1", "a0", "a1", "a2", "a3", "a4", "a5", "a6", "a7",
 	"s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11",
@@ -17,9 +18,9 @@ var abiNames = [32]string{
 // assembler text using ABI register names. Branch and jump targets are
 // absolute addresses, so the output re-assembles to the identical encoding.
 func (in Instr) DisasmAt(pc uint32) string {
-	rd := abiNames[in.Rd]
-	rs1 := abiNames[in.Rs1]
-	rs2 := abiNames[in.Rs2]
+	rd := ABINames[in.Rd]
+	rs1 := ABINames[in.Rs1]
+	rs2 := ABINames[in.Rs2]
 	target := func() string { return fmt.Sprintf("%#x", pc+uint32(in.Imm)) }
 	switch in.Op {
 	case OpLUI, OpAUIPC:
